@@ -53,18 +53,8 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def nondominated_filter(points) -> np.ndarray:
-    """Return exactly the points not dominated by any other point.
-
-    Duplicate rows collapse to a single copy. Input order of the surviving
-    points is preserved (first occurrence wins for duplicates).
-    """
-    pts = _as_points(points)
-    if len(pts) == 0:
-        return pts
-    # Collapse duplicates, keeping first occurrences in input order.
-    _, first = np.unique(pts, axis=0, return_index=True)
-    pts = pts[np.sort(first)]
+def _keep_pairwise(pts: np.ndarray) -> np.ndarray:
+    # Keep-mask of distinct rows, by the definition: O(n^2 m).
     n = len(pts)
     dominated = np.zeros(n, dtype=bool)
     # Chunk the pairwise comparison to bound peak memory on large inputs.
@@ -74,7 +64,69 @@ def nondominated_filter(points) -> np.ndarray:
         le = np.all(pts[:, None, :] <= block[None, :, :], axis=2)
         lt = np.any(pts[:, None, :] < block[None, :, :], axis=2)
         dominated[start : start + chunk] = np.any(le & lt, axis=0)
-    return pts[~dominated]
+    return ~dominated
+
+
+# The sweeps below take distinct rows in lexicographic order. Any row that
+# dominates row i then comes before it, so row i survives exactly when no
+# earlier row is at most it in the remaining coordinates.
+
+
+def _keep_2d(pts: np.ndarray) -> np.ndarray:
+    # Running minimum of f2 over the earlier rows (Kung, Luccio & Preparata).
+    f2 = pts[:, 1]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = f2[1:] < np.minimum.accumulate(f2[:-1])
+    return keep
+
+
+def _keep_3d(pts: np.ndarray) -> np.ndarray:
+    # Staircase of the (f2, f3) minima of the earlier rows, as in _hv_3d.
+    keep = np.zeros(len(pts), dtype=bool)
+    xs: list[float] = []  # staircase f2, strictly increasing
+    ys: list[float] = []  # staircase f3, strictly decreasing
+    for i, (x, y) in enumerate(pts[:, 1:].tolist()):
+        hi = bisect.bisect_right(xs, x)
+        if hi > 0 and ys[hi - 1] <= y:
+            continue
+        keep[i] = True
+        lo = bisect.bisect_left(xs, x)
+        end = lo
+        while end < len(xs) and ys[end] >= y:
+            end += 1
+        xs[lo:end] = [x]
+        ys[lo:end] = [y]
+    return keep
+
+
+def nondominated_filter(points, method: str = "auto") -> np.ndarray:
+    """Return exactly the points not dominated by any other point.
+
+    Duplicate rows collapse to a single copy. Input order of the surviving
+    points is preserved (first occurrence wins for duplicates), whatever the
+    method. Rows containing NaN are all kept: such a row is never dominated,
+    dominates nothing and equals no other row.
+
+    ``method="auto"`` sorts the rows lexicographically and sweeps them in
+    O(n log n): a running minimum for m=2, a 2-D staircase searched by
+    bisection for m=3 (a Python list, so an insertion also shifts up to n
+    references). Other m use the O(n^2 m) pairwise definition check, which
+    ``method="dense"`` forces for any m; both methods return the same array.
+    """
+    if method not in ("auto", "dense"):
+        raise ValueError(f"unknown method {method!r}, expected 'auto' or 'dense'")
+    pts = _as_points(points)
+    if len(pts) == 0:
+        return pts
+    # Distinct rows in lexicographic order, with their first input index.
+    uniq, first = np.unique(pts, axis=0, return_index=True)
+    keep_mask = _keep_pairwise
+    if method == "auto":
+        keep_mask = {2: _keep_2d, 3: _keep_3d}.get(pts.shape[1], _keep_pairwise)
+    keep = np.ones(len(uniq), dtype=bool)
+    valid = ~np.isnan(uniq).any(axis=1)
+    keep[valid] = keep_mask(uniq[valid])
+    return pts[np.sort(first[keep])]
 
 
 def _hv_2d(pts: np.ndarray, r: np.ndarray) -> float:

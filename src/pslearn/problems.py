@@ -92,8 +92,10 @@ class Problem:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.d:
             raise ValueError(f"{self.id}: expected an (n, {self.d}) array")
-        for row in range(xs.shape[0]):
-            self._check_bounds(xs[row])
+        outside = (xs < self.lb) | (xs > self.ub)
+        if outside.any():
+            # Report the first offending row exactly as evaluate() would.
+            self._check_bounds(xs[int(np.argmax(outside.any(axis=1)))])
         return self._evaluate_batch(xs)
 
     def jacobian(self, x) -> np.ndarray:

@@ -29,7 +29,7 @@ from .hv import (
     HvReport,
     exact_hv,
     log_hv_difference,
-    nondominated_filter,
+    nondominated_filter,  # noqa: F401  benchmarks/spans.py wraps it by this name
     r2_hv_approx,
     r2_hv_subgradient,
 )
@@ -356,6 +356,15 @@ def _hv_report(hv_true: float, hv_learned: float) -> HvReport:
     )
 
 
+def _score(params, problem: Problem, sampler, n_eval: int, seed, normalized) -> HvReport:
+    # The one evaluation path: latents -> model -> objectives normalized by
+    # the front's extremes -> exact hypervolume, which does the filtering.
+    f_min, f_range, r, hv_true = normalized
+    xs, _ = net.forward(params, sampler(n_eval, seed), problem.lb, problem.ub)
+    y = (problem.evaluate_batch(xs) - f_min) / f_range
+    return _hv_report(hv_true, exact_hv(y, r))
+
+
 def evaluate_model(
     params: net.NetworkParams,
     problem: Problem,
@@ -369,18 +378,12 @@ def evaluate_model(
 
     Draws ``n_eval`` latent vectors from the algorithm's initial distribution
     with a fixed seed, maps them through the model, normalizes objectives by
-    the front's componentwise extremes, filters the non-dominated subset and
-    compares exact hypervolumes at reference point (ref_offset, ...).
+    the front's componentwise extremes and compares exact hypervolumes (of
+    the non-dominated subset) at reference point (ref_offset, ...).
     """
     if n_eval < 1:
         raise ValueError("n_eval must be >= 1")
-    f_min, f_range, r, hv_true = _normalized_front(front, ref_offset)
-    latents = sampler(n_eval, seed)
-    xs, _ = net.forward(params, latents, problem.lb, problem.ub)
-    raw = problem.evaluate_batch(xs)
-    y = (raw - f_min) / f_range
-    hv_learned = exact_hv(nondominated_filter(y), r)
-    return _hv_report(hv_true, hv_learned)
+    return _score(params, problem, sampler, n_eval, seed, _normalized_front(front, ref_offset))
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +414,12 @@ def _train_loop(config: TrainConfig, problem: Problem, front: ParetoFrontData,
         eps=config.eps_adam,
     )
     rng = np.random.default_rng(config.seed)
-    f_min, f_range, r, hv_true = _normalized_front(front, config.ref_offset)
+    normalized = _normalized_front(front, config.ref_offset)
     metrics = MetricsLog()
     start = time.perf_counter()
 
     def evaluate(iteration: int, loss: float):
-        latents = draw(config.eval_samples, config.eval_seed)
-        xs, _ = net.forward(params, latents, problem.lb, problem.ub)
-        y = (problem.evaluate_batch(xs) - f_min) / f_range
-        hv_learned = exact_hv(nondominated_filter(y), r)
-        report = _hv_report(hv_true, hv_learned)
+        report = _score(params, problem, draw, config.eval_samples, config.eval_seed, normalized)
         metrics.append(
             MetricsRecord(
                 iteration=iteration,

@@ -55,6 +55,24 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="variable 7"):
             prob.evaluate(x)
 
+    def test_batch_out_of_bounds_reports_first_bad_row(self):
+        prob = get_problem("zdt3")
+        xs = np.full((5, 30), 0.5)
+        xs[2, 7] = 1.5
+        xs[4, 0] = -0.5
+        with pytest.raises(ValueError) as expected:
+            prob.evaluate(xs[2])
+        with pytest.raises(ValueError) as got:
+            prob.evaluate_batch(xs)
+        assert str(got.value) == str(expected.value)
+
+    def test_batch_nan_row_passes_bounds_check(self):
+        prob = get_problem("zdt3")
+        xs = np.full((3, 30), 0.5)
+        xs[1, 4] = np.nan
+        out = prob.evaluate_batch(xs)
+        assert np.isnan(out[1, 1]) and np.all(np.isfinite(out[[0, 2]]))
+
     @pytest.mark.parametrize("name", ALL_PROBLEMS)
     def test_deterministic_and_finite(self, name, rng):
         prob = get_problem(name)
