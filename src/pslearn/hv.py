@@ -80,53 +80,68 @@ def _keep_2d(pts: np.ndarray) -> np.ndarray:
     return keep
 
 
+def _staircase_slot(xs: list, ys: list, x: float, y: float):
+    # Staircase: xs strictly increasing, ys strictly decreasing. Returns None
+    # when some step weakly dominates (x, y); otherwise the slice [lo, end)
+    # of the steps that (x, y) weakly dominates, a contiguous run from lo,
+    # which (x, y) replaces.
+    hi = bisect.bisect_right(xs, x)
+    if hi > 0 and ys[hi - 1] <= y:
+        return None
+    lo = bisect.bisect_left(xs, x)
+    end = lo
+    while end < len(xs) and ys[end] >= y:
+        end += 1
+    return lo, end
+
+
 def _keep_3d(pts: np.ndarray) -> np.ndarray:
-    # Staircase of the (f2, f3) minima of the earlier rows, as in _hv_3d.
+    # Staircase of the (f2, f3) minima of the earlier rows (Beume et al.).
     keep = np.zeros(len(pts), dtype=bool)
-    xs: list[float] = []  # staircase f2, strictly increasing
-    ys: list[float] = []  # staircase f3, strictly decreasing
+    xs: list[float] = []
+    ys: list[float] = []
     for i, (x, y) in enumerate(pts[:, 1:].tolist()):
-        hi = bisect.bisect_right(xs, x)
-        if hi > 0 and ys[hi - 1] <= y:
+        slot = _staircase_slot(xs, ys, x, y)
+        if slot is None:
             continue
         keep[i] = True
-        lo = bisect.bisect_left(xs, x)
-        end = lo
-        while end < len(xs) and ys[end] >= y:
-            end += 1
+        lo, end = slot
         xs[lo:end] = [x]
         ys[lo:end] = [y]
     return keep
 
 
-def nondominated_filter(points, method: str = "auto") -> np.ndarray:
-    """Return exactly the points not dominated by any other point.
+_SWEEPS = {2: _keep_2d, 3: _keep_3d}
 
-    Duplicate rows collapse to a single copy. Input order of the surviving
-    points is preserved (first occurrence wins for duplicates), whatever the
-    method. Rows containing NaN are all kept: such a row is never dominated,
-    dominates nothing and equals no other row.
 
-    ``method="auto"`` sorts the rows lexicographically and sweeps them in
-    O(n log n): a running minimum for m=2, a 2-D staircase searched by
-    bisection for m=3 (a Python list, so an insertion also shifts up to n
-    references). Other m use the O(n^2 m) pairwise definition check, which
-    ``method="dense"`` forces for any m; both methods return the same array.
-    """
-    if method not in ("auto", "dense"):
-        raise ValueError(f"unknown method {method!r}, expected 'auto' or 'dense'")
-    pts = _as_points(points)
+def _filter_rows(pts: np.ndarray, keep_mask) -> np.ndarray:
+    # Non-dominated rows of pts, in input order, first copy of duplicates.
+    # keep_mask maps distinct NaN-free rows in lexicographic order to the
+    # mask of the non-dominated ones.
     if len(pts) == 0:
         return pts
-    # Distinct rows in lexicographic order, with their first input index.
     uniq, first = np.unique(pts, axis=0, return_index=True)
-    keep_mask = _keep_pairwise
-    if method == "auto":
-        keep_mask = {2: _keep_2d, 3: _keep_3d}.get(pts.shape[1], _keep_pairwise)
     keep = np.ones(len(uniq), dtype=bool)
     valid = ~np.isnan(uniq).any(axis=1)
     keep[valid] = keep_mask(uniq[valid])
     return pts[np.sort(first[keep])]
+
+
+def nondominated_filter(points) -> np.ndarray:
+    """Return exactly the points not dominated by any other point.
+
+    Duplicate rows collapse to a single copy. Input order of the surviving
+    points is preserved (first occurrence wins for duplicates). Rows
+    containing NaN are all kept: such a row is never dominated, dominates
+    nothing and equals no other row.
+
+    The rows are sorted lexicographically and swept in O(n log n): a running
+    minimum for m=2, a 2-D staircase searched by bisection for m=3 (a Python
+    list, so an insertion also shifts up to n references). Other m use the
+    O(n^2 m) pairwise definition check. Every path returns the same array.
+    """
+    pts = _as_points(points)
+    return _filter_rows(pts, _SWEEPS.get(pts.shape[1], _keep_pairwise))
 
 
 def _hv_2d(pts: np.ndarray, r: np.ndarray) -> float:
@@ -152,15 +167,10 @@ def _hv_3d(pts: np.ndarray, r: np.ndarray) -> float:
         if z > z_prev:
             volume += area * (z - z_prev)
             z_prev = z
-        hi = bisect.bisect_right(xs, x)
-        if hi > 0 and ys[hi - 1] <= y:
+        slot = _staircase_slot(xs, ys, x, y)
+        if slot is None:
             continue  # weakly dominated in the (f1, f2) projection
-        lo = bisect.bisect_left(xs, x)
-        # Staircase points with xs >= x and ys >= y (those the new point
-        # dominates) form a contiguous run starting at lo.
-        end = lo
-        while end < len(xs) and ys[end] >= y:
-            end += 1
+        lo, end = slot
         x_right = xs[end] if end < len(xs) else r[0]
         gain = (x_right - x) * (r[1] - y)
         for j in range(lo, end):
@@ -171,10 +181,8 @@ def _hv_3d(pts: np.ndarray, r: np.ndarray) -> float:
             # at x_right when the run is empty); it now ends at x.
             old_edge = xs[lo] if lo < len(xs) else r[0]
             gain -= (old_edge - x) * (r[1] - ys[lo - 1])
-        del xs[lo:end]
-        del ys[lo:end]
-        xs.insert(lo, x)
-        ys.insert(lo, y)
+        xs[lo:end] = [x]
+        ys[lo:end] = [y]
         area += gain
     volume += area * (r[2] - z_prev)
     return volume

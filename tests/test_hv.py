@@ -5,9 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from pslearn.hv import (
     exact_hv,
@@ -58,51 +55,6 @@ class TestNondominatedFilter:
         once = nondominated_filter(pts)
         twice = nondominated_filter(once)
         np.testing.assert_array_equal(once, twice)
-
-
-# Small integers force duplicate rows and ties in single coordinates; the
-# specials cover rows with +-inf and NaN.
-_COORD = st.one_of(
-    st.integers(0, 3).map(float),
-    st.floats(-1.0, 1.0),
-    st.sampled_from([np.inf, -np.inf, np.nan]),
-)
-
-
-def _point_sets(m):
-    return st.integers(1, 30).flatmap(lambda n: arrays(float, (n, m), elements=_COORD))
-
-
-class TestNondominatedFilterProperties:
-    @pytest.mark.parametrize("m", [2, 3])
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_sweep_matches_dense_path_in_order(self, m, data):
-        pts = data.draw(_point_sets(m))
-        np.testing.assert_array_equal(
-            nondominated_filter(pts), nondominated_filter(pts, method="dense")
-        )
-
-    @pytest.mark.parametrize("m", [2, 3])
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_sweep_matches_brute_force_as_set(self, m, data):
-        pts = data.draw(_point_sets(m))
-        got = nondominated_filter(pts)
-        np.testing.assert_array_equal(np.unique(got, axis=0), brute_force_nondominated(pts))
-
-    @pytest.mark.parametrize("method", ["auto", "dense"])
-    def test_nan_and_inf_rows(self, method):
-        # A NaN row is never dominated and dominates nothing; a lone
-        # (x, inf) row survives.
-        out = nondominated_filter([[2, 2], [np.nan, 0], [1, 1]], method=method)
-        np.testing.assert_array_equal(out, [[np.nan, 0], [1, 1]])
-        out = nondominated_filter([[1, np.inf], [0, np.nan]], method=method)
-        np.testing.assert_array_equal(out, [[1, np.inf], [0, np.nan]])
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            nondominated_filter([[1, 2]], method="kung")
 
 
 class TestExactHv:
