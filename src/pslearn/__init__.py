@@ -65,8 +65,6 @@ from .trainer import (
     evaluate_model,
     latent_sampler,
     train,
-    train_gpsl,
-    train_preference_psl,
     write_metrics_csv,
 )
 

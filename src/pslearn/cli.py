@@ -32,6 +32,16 @@ from . import network as net
 
 OUTPUT_ROOT_ENV = "PSLEARN_OUT"
 
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes"):
+        return True
+    if lowered in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected true/false/yes/no/1/0, got {text!r}")
+
+
 # Keys accepted in `key = value` config files; flags override file values.
 CONFIG_KEYS = {
     "problem": str,
@@ -48,7 +58,7 @@ CONFIG_KEYS = {
     "eval_samples": int,
     "eval_interval": int,
     "eval_seed": int,
-    "hv_batch_as_set": lambda s: s.lower() in ("1", "true", "yes"),
+    "hv_batch_as_set": _parse_bool,
     "tch_epsilon": float,
     "cosmos_gamma": float,
     "dirichlet_alpha": float,
@@ -76,19 +86,24 @@ def _parse_config_file(path: str) -> dict:
                     f"{path}:{lineno}: unknown key {key!r}; valid keys: "
                     f"{', '.join(sorted(CONFIG_KEYS))}"
                 )
-            values[key] = CONFIG_KEYS[key](value)
+            try:
+                values[key] = CONFIG_KEYS[key](value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return values
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _atomic(path: Path, content) -> None:
+    """Write ``content`` to ``path`` through a temp file and a rename.
 
-
-def _atomic(path: Path, write_fn) -> None:
+    ``content`` is text, or a function that writes the file at the path it
+    is given.
+    """
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    write_fn(tmp)
+    if callable(content):
+        content(tmp)
+    else:
+        tmp.write_text(content, encoding="utf-8")
     os.replace(tmp, path)
 
 
@@ -100,10 +115,9 @@ def _resolve_out_dir(out: str | None) -> Path:
 
 
 def _load_front(problem_name: str, front_path: str | None):
-    if front_path:
-        problem = get_problem(problem_name)
-        return load_reference_front(front_path, m=problem.m)
     problem = get_problem(problem_name)
+    if front_path:
+        return load_reference_front(front_path, m=problem.m)
     if not problem.has_analytic_front:
         raise ValueError(
             f"{problem_name} has no analytic reference front; pass --front FILE"
@@ -157,11 +171,10 @@ def _dispatch(tasks: list[dict], workers: int) -> list[dict]:
 
 
 def _median_iqr(values: list[float]) -> tuple[float, float]:
-    ordered = sorted(values)
-    med = statistics.median(ordered)
-    if len(ordered) < 2:
+    med = statistics.median(values)
+    if len(values) < 2:
         return med, 0.0
-    q1, q3 = statistics.quantiles(ordered, n=4)[0], statistics.quantiles(ordered, n=4)[2]
+    q1, _, q3 = statistics.quantiles(values, n=4)
     return med, q3 - q1
 
 
@@ -175,6 +188,26 @@ def _base_kwargs(settings: dict) -> dict:
         if settings.get(key) is not None:
             kwargs[key] = settings[key]
     return kwargs
+
+
+def _build_tasks(settings: dict, out_dir: Path, arms) -> list[dict]:
+    """One task per seed of each ``(label, TrainConfig overrides)`` arm.
+
+    The overrides name the problem and the algorithm and take precedence
+    over the shared settings.
+    """
+    base = _base_kwargs(settings)
+    return [
+        {
+            "config_kwargs": {**base, **overrides, "seed": seed},
+            "front": settings.get("front"),
+            "out_dir": str(out_dir),
+            "stem": f"{overrides['problem']}_{label}_seed{seed}",
+            "label": label,
+        }
+        for label, overrides in arms
+        for seed in range(settings.get("seeds", 11))
+    ]
 
 
 def _collect_settings(args) -> dict:
@@ -219,7 +252,7 @@ def _write_long_csv(path: Path, results: list[dict]) -> None:
     for res in results:
         for problem, label, seed, iteration, value in res["rows"]:
             lines.append(f"{problem},{label},{seed},{iteration},{value!r}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic(path, "\n".join(lines) + "\n")
 
 
 def _summarize(results: list[dict]) -> dict:
@@ -255,29 +288,15 @@ def cmd_run(parser, args) -> int:
     if not problem or not algorithm:
         parser.error("run requires --problem and --algo (or a config file setting them)")
     _validate_names(parser, [problem], [algorithm])
-    n_seeds = settings.get("seeds", 11)
     out_dir = _resolve_out_dir(settings.get("out"))
-    base = _base_kwargs(settings)
-    tasks = []
-    for seed in range(n_seeds):
-        tasks.append(
-            {
-                "config_kwargs": {
-                    "problem": problem, "algorithm": algorithm, "seed": seed, **base
-                },
-                "front": settings.get("front"),
-                "out_dir": str(out_dir),
-                "stem": f"{problem}_{algorithm}_seed{seed}",
-                "label": algorithm,
-            }
-        )
-    results = _dispatch(tasks, args.workers)
+    arm = (algorithm, {"problem": problem, "algorithm": algorithm})
+    results = _dispatch(_build_tasks(settings, out_dir, [arm]), args.workers)
     finals = [r["final_log_hv_difference"] for r in results]
     med, iqr = _median_iqr(finals)
     summary = {
         "problem": problem,
         "algorithm": algorithm,
-        "seeds": list(range(n_seeds)),
+        "seeds": [r["seed"] for r in results],
         "median_final_log_hv_difference": med,
         "iqr_final_log_hv_difference": iqr,
         "per_seed_final_log_hv_difference": {str(r["seed"]): r["final_log_hv_difference"] for r in results},
@@ -285,7 +304,7 @@ def cmd_run(parser, args) -> int:
         "files": [r["csv"] for r in results],
     }
     summary_path = out_dir / f"{problem}_{algorithm}_summary.json"
-    _atomic_write_text(summary_path, json.dumps(summary, indent=2) + "\n")
+    _atomic(summary_path, json.dumps(summary, indent=2) + "\n")
     print(f"wrote {len(results)} metrics CSV(s) and {summary_path}")
     print(f"median final log HV difference: {med:.6f} (IQR {iqr:.6f})")
     return 0
@@ -300,28 +319,16 @@ def cmd_compare(parser, args) -> int:
     if not problems:
         parser.error("compare requires --problems (comma-separated list)")
     _validate_names(parser, problems, algorithms)
-    n_seeds = settings.get("seeds", 11)
     out_dir = _resolve_out_dir(settings.get("out"))
-    base = _base_kwargs(settings)
-    tasks = []
-    for problem in problems:
-        for algorithm in algorithms:
-            for seed in range(n_seeds):
-                tasks.append(
-                    {
-                        "config_kwargs": {
-                            "problem": problem, "algorithm": algorithm, "seed": seed, **base
-                        },
-                        "front": settings.get("front"),
-                        "out_dir": str(out_dir),
-                        "stem": f"{problem}_{algorithm}_seed{seed}",
-                        "label": algorithm,
-                    }
-                )
-    results = _dispatch(tasks, args.workers)
+    arms = [
+        (algorithm, {"problem": problem, "algorithm": algorithm})
+        for problem in problems
+        for algorithm in algorithms
+    ]
+    results = _dispatch(_build_tasks(settings, out_dir, arms), args.workers)
     _write_long_csv(out_dir / "compare.csv", results)
     summary = _summarize(results)
-    _atomic_write_text(out_dir / "compare_summary.json", json.dumps(summary, indent=2) + "\n")
+    _atomic(out_dir / "compare_summary.json", json.dumps(summary, indent=2) + "\n")
     print(f"wrote {out_dir / 'compare.csv'} ({len(results)} runs)")
     return 0
 
@@ -333,57 +340,26 @@ def cmd_ablate(parser, args) -> int:
         parser.error("ablate requires --problem")
     _validate_names(parser, [problem], [])
     kind = args.kind
-    n_seeds = settings.get("seeds", 11)
     out_dir = _resolve_out_dir(settings.get("out"))
-    base = _base_kwargs(settings)
-    base.pop("latent_dim", None)
     prob = get_problem(problem)
-    tasks = []
     if kind == "latent-dim":
-        dims = []
-        for k in (1, 2, 5, 10, prob.d):
-            if k not in dims:
-                dims.append(k)
-        for k in dims:
-            label = f"gpsl-g-dim{k}"
-            for seed in range(n_seeds):
-                tasks.append(
-                    {
-                        "config_kwargs": {
-                            "problem": problem, "algorithm": "gpsl-g", "seed": seed,
-                            "latent_dim": k, **base,
-                        },
-                        "front": settings.get("front"),
-                        "out_dir": str(out_dir),
-                        "stem": f"{problem}_{label}_seed{seed}",
-                        "label": label,
-                    }
-                )
+        arms = [
+            (f"gpsl-g-dim{k}", {"problem": problem, "algorithm": "gpsl-g", "latent_dim": k})
+            for k in dict.fromkeys((1, 2, 5, 10, prob.d))
+        ]
     elif kind == "latent-dist":
         # All three initial distributions sampled in m dimensions.
-        for algorithm in GPSL_ALGORITHMS:
-            label = f"{algorithm}-dim{prob.m}"
-            for seed in range(n_seeds):
-                tasks.append(
-                    {
-                        "config_kwargs": {
-                            "problem": problem, "algorithm": algorithm, "seed": seed,
-                            "latent_dim": prob.m, **base,
-                        },
-                        "front": settings.get("front"),
-                        "out_dir": str(out_dir),
-                        "stem": f"{problem}_{label}_seed{seed}",
-                        "label": label,
-                    }
-                )
+        arms = [
+            (f"{algorithm}-dim{prob.m}",
+             {"problem": problem, "algorithm": algorithm, "latent_dim": prob.m})
+            for algorithm in GPSL_ALGORITHMS
+        ]
     else:  # pragma: no cover - argparse choices guard this
         parser.error(f"unknown ablation kind {kind!r}")
-    results = _dispatch(tasks, args.workers)
+    results = _dispatch(_build_tasks(settings, out_dir, arms), args.workers)
     _write_long_csv(out_dir / f"ablate_{kind}.csv", results)
     summary = _summarize(results)
-    _atomic_write_text(
-        out_dir / f"ablate_{kind}_summary.json", json.dumps(summary, indent=2) + "\n"
-    )
+    _atomic(out_dir / f"ablate_{kind}_summary.json", json.dumps(summary, indent=2) + "\n")
     print(f"wrote {out_dir / f'ablate_{kind}.csv'} ({len(results)} runs)")
     return 0
 
@@ -419,7 +395,7 @@ def cmd_eval(parser, args) -> int:
     text = json.dumps(payload, indent=2)
     if settings.get("out"):
         out_dir = _resolve_out_dir(settings.get("out"))
-        _atomic_write_text(out_dir / "eval_report.json", text + "\n")
+        _atomic(out_dir / "eval_report.json", text + "\n")
     print(text)
     return 0
 

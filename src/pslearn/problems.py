@@ -10,8 +10,9 @@ Implemented problems (all minimization):
   is the total constraint violation sum(max(0, violation_k)), whose
   subgradient at a constraint boundary is taken as 0.
 
-Additional problems can be registered at runtime (evaluation callback plus
-bounds); their reference fronts are supplied through plain-text files, one
+Additional problems can be registered at runtime (a batch evaluation
+callback plus bounds, optionally a batch Jacobian; see :class:`Problem`);
+their reference fronts are supplied through plain-text files, one
 point per row, ``m`` columns, ``#`` comments allowed.
 
 Analytic Jacobians are exact away from the non-smooth loci documented per
@@ -43,7 +44,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Problem:
-    """An m-objective, d-variable analytic test function with box bounds."""
+    """An m-objective, d-variable analytic test function with box bounds.
+
+    Both callbacks work on whole batches: ``_evaluate_batch`` maps an
+    ``(n, d)`` array of in-bounds decision vectors to ``(n, m)`` objectives,
+    and ``_jacobian``, when given, maps the same ``(n, d)`` array to the
+    ``(n, m, d)`` stack of their Jacobians. Each output row must depend only
+    on its own input row. Without ``_jacobian``, :meth:`jacobian` falls back
+    to :func:`finite_difference_jacobian`.
+    """
 
     id: str
     m: int
@@ -69,44 +78,44 @@ class Problem:
         if self.d < self.m:
             raise ValueError(f"need d >= m, got d={self.d}, m={self.m}")
 
-    def _check_bounds(self, x: np.ndarray) -> None:
-        below = x < self.lb
-        above = x > self.ub
-        if below.any() or above.any():
-            idx = int(np.argmax(below | above))
+    def _checked_batch(self, xs: np.ndarray) -> np.ndarray:
+        if xs.ndim != 2 or xs.shape[1] != self.d:
+            raise ValueError(f"{self.id}: expected an (n, {self.d}) array")
+        outside = (xs < self.lb) | (xs > self.ub)
+        if outside.any():
+            # Name the first offending variable of the first offending row.
+            row = int(np.argmax(outside.any(axis=1)))
+            idx = int(np.argmax(outside[row]))
             raise ValueError(
-                f"{self.id}: decision variable {idx} = {x[idx]!r} outside "
+                f"{self.id}: decision variable {idx} = {xs[row, idx]!r} outside "
                 f"[{self.lb[idx]!r}, {self.ub[idx]!r}]"
             )
+        return xs
 
     def evaluate(self, x) -> np.ndarray:
         """Objective vector f(x); raises on out-of-bounds input."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
             raise ValueError(f"{self.id}: expected decision vector of length {self.d}")
-        self._check_bounds(x)
-        return self._evaluate_batch(x[None, :])[0]
+        return self._evaluate_batch(self._checked_batch(x[None, :]))[0]
 
     def evaluate_batch(self, xs) -> np.ndarray:
         """Row-wise evaluation; identical to stacking :meth:`evaluate` per row."""
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != self.d:
-            raise ValueError(f"{self.id}: expected an (n, {self.d}) array")
-        outside = (xs < self.lb) | (xs > self.ub)
-        if outside.any():
-            # Report the first offending row exactly as evaluate() would.
-            self._check_bounds(xs[int(np.argmax(outside.any(axis=1)))])
-        return self._evaluate_batch(xs)
+        return self._evaluate_batch(self._checked_batch(np.asarray(xs, dtype=float)))
 
     def jacobian(self, x) -> np.ndarray:
-        """Analytic (m, d) Jacobian, or a finite-difference fallback."""
+        """Jacobian of one point, (m, d), or of a batch of points, (n, m, d).
+
+        Analytic when the problem has one, otherwise central finite
+        differences. The bounds of a batch are checked once, as in
+        :meth:`evaluate_batch`.
+        """
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            raise ValueError(f"{self.id}: expected decision vector of length {self.d}")
-        self._check_bounds(x)
-        if self._jacobian is not None:
-            return self._jacobian(x)
-        return finite_difference_jacobian(self, x)
+        xs = self._checked_batch(np.atleast_2d(x))
+        if self._jacobian is None:
+            return finite_difference_jacobian(self, x)
+        jac = self._jacobian(xs)
+        return jac if x.ndim == 2 else jac[0]
 
     @property
     def has_analytic_front(self) -> bool:
@@ -130,23 +139,31 @@ class ParetoFrontData:
 
 
 def finite_difference_jacobian(problem: Problem, x, rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian with step rel_step * (ub - lb).
+    """Central-difference Jacobian of one point, (m, d), or of a batch, (n, m, d).
 
-    Falls back to a one-sided difference for coordinates too close to a
-    bound for the centered stencil.
+    The step is rel_step * (ub - lb); a coordinate too close to a bound for
+    the centered stencil gets a one-sided difference. All 2 n d probe
+    points go through one :meth:`Problem.evaluate_batch` call.
     """
     x = np.asarray(x, dtype=float)
+    xs = np.atleast_2d(x)
+    n, d = xs.shape
     h = rel_step * (problem.ub - problem.lb)
-    jac = np.empty((problem.m, problem.d))
-    for j in range(problem.d):
-        lo = max(x[j] - h[j], problem.lb[j])
-        hi = min(x[j] + h[j], problem.ub[j])
-        x_lo = x.copy()
-        x_hi = x.copy()
-        x_lo[j] = lo
-        x_hi[j] = hi
-        jac[:, j] = (problem.evaluate(x_hi) - problem.evaluate(x_lo)) / (hi - lo)
-    return jac
+    lo = np.maximum(xs - h, problem.lb)
+    hi = np.minimum(xs + h, problem.ub)
+    moved = np.eye(d, dtype=bool)  # probe j moves coordinate j only
+    probes = np.concatenate(
+        [np.where(moved, hi[:, None, :], xs[:, None, :]),
+         np.where(moved, lo[:, None, :], xs[:, None, :])]
+    )
+    f = problem.evaluate_batch(probes.reshape(-1, d)).reshape(2, n, d, problem.m)
+    jac = ((f[0] - f[1]) / (hi - lo)[:, :, None]).transpose(0, 2, 1)
+    return jac if x.ndim == 2 else jac[0]
+
+
+def _columns(*columns) -> np.ndarray:
+    # (n, k) array from k per-point columns; scalars are repeated down a column.
+    return np.stack(np.broadcast_arrays(*columns), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +180,19 @@ def _zdt3_eval(xs: np.ndarray) -> np.ndarray:
     return np.column_stack([f1, f2])
 
 
-def _zdt3_jac(x: np.ndarray) -> np.ndarray:
+def _zdt3_jac(xs: np.ndarray) -> np.ndarray:
     # f2 = g - sqrt(f1 g) - f1 sin(10 pi f1); singular at f1 = 0.
-    d = x.size
-    f1 = x[0]
-    g = 1.0 + 9.0 * x[1:].sum() / (d - 1)
-    jac = np.zeros((2, d))
-    jac[0, 0] = 1.0
-    jac[1, 0] = (
+    n, d = xs.shape
+    f1 = xs[:, 0]
+    g = 1.0 + 9.0 * xs[:, 1:].sum(axis=1) / (d - 1)
+    jac = np.zeros((n, 2, d))
+    jac[:, 0, 0] = 1.0
+    jac[:, 1, 0] = (
         -0.5 * np.sqrt(g / f1)
         - np.sin(10.0 * np.pi * f1)
         - 10.0 * np.pi * f1 * np.cos(10.0 * np.pi * f1)
     )
-    jac[1, 1:] = (1.0 - 0.5 * np.sqrt(f1 / g)) * 9.0 / (d - 1)
+    jac[:, 1, 1:] = ((1.0 - 0.5 * np.sqrt(f1 / g)) * 9.0 / (d - 1))[:, None]
     return jac
 
 
@@ -205,32 +222,33 @@ def _dtlz5_eval(xs: np.ndarray) -> np.ndarray:
     return np.column_stack([f1, f2, f3])
 
 
-def _dtlz5_jac(x: np.ndarray) -> np.ndarray:
-    d = x.size
-    tail = x[2:] - 0.5
-    g = float((tail**2).sum())
+def _dtlz5_jac(xs: np.ndarray) -> np.ndarray:
+    n, d = xs.shape
+    tail = xs[:, 2:] - 0.5
+    g = (tail**2).sum(axis=1)
     t = 1.0 + g
-    theta1 = 0.5 * np.pi * x[0]
-    theta2 = np.pi / (4.0 * t) * (1.0 + 2.0 * g * x[1])
+    theta1 = 0.5 * np.pi * xs[:, 0]
+    theta2 = np.pi / (4.0 * t) * (1.0 + 2.0 * g * xs[:, 1])
     c1, s1 = np.cos(theta1), np.sin(theta1)
     c2, s2 = np.cos(theta2), np.sin(theta2)
-    dg = np.zeros(d)
-    dg[2:] = 2.0 * tail
-    dtheta2_dg = 0.25 * np.pi * (2.0 * x[1] - 1.0) / t**2
+    dg = 2.0 * tail
+    # float_power is libm's pow; an array's ** 2 is a multiplication, which
+    # rounds differently in the last bit.
+    dtheta2_dg = 0.25 * np.pi * (2.0 * xs[:, 1] - 1.0) / np.float_power(t, 2)
     dtheta2_dx2 = 0.5 * np.pi * g / t
 
-    jac = np.zeros((3, d))
+    jac = np.zeros((n, 3, d))
     # f1 = t c1 c2
-    jac[0, 0] = -0.5 * np.pi * t * s1 * c2
-    jac[0, 1] = -t * c1 * s2 * dtheta2_dx2
-    jac[0, 2:] = c1 * (c2 - t * s2 * dtheta2_dg) * dg[2:]
+    jac[:, 0, 0] = -0.5 * np.pi * t * s1 * c2
+    jac[:, 0, 1] = -t * c1 * s2 * dtheta2_dx2
+    jac[:, 0, 2:] = (c1 * (c2 - t * s2 * dtheta2_dg))[:, None] * dg
     # f2 = t c1 s2
-    jac[1, 0] = -0.5 * np.pi * t * s1 * s2
-    jac[1, 1] = t * c1 * c2 * dtheta2_dx2
-    jac[1, 2:] = c1 * (s2 + t * c2 * dtheta2_dg) * dg[2:]
+    jac[:, 1, 0] = -0.5 * np.pi * t * s1 * s2
+    jac[:, 1, 1] = t * c1 * c2 * dtheta2_dx2
+    jac[:, 1, 2:] = (c1 * (s2 + t * c2 * dtheta2_dg))[:, None] * dg
     # f3 = t s1
-    jac[2, 0] = 0.5 * np.pi * t * c1
-    jac[2, 2:] = s1 * dg[2:]
+    jac[:, 2, 0] = 0.5 * np.pi * t * c1
+    jac[:, 2, 2:] = s1[:, None] * dg
     return jac
 
 
@@ -257,17 +275,17 @@ def _dtlz7_eval(xs: np.ndarray) -> np.ndarray:
     return np.column_stack([f12, f3])
 
 
-def _dtlz7_jac(x: np.ndarray) -> np.ndarray:
+def _dtlz7_jac(xs: np.ndarray) -> np.ndarray:
     m = _DTLZ7_M
-    d = x.size
-    n_tail = d - (m - 1)
-    jac = np.zeros((3, d))
-    jac[0, 0] = 1.0
-    jac[1, 1] = 1.0
-    for i in range(m - 1):
-        fi = x[i]
-        jac[2, i] = -(1.0 + np.sin(3.0 * np.pi * fi) + 3.0 * np.pi * fi * np.cos(3.0 * np.pi * fi))
-    jac[2, m - 1 :] = m * 9.0 / n_tail
+    n, d = xs.shape
+    f12 = xs[:, : m - 1]
+    jac = np.zeros((n, m, d))
+    jac[:, 0, 0] = 1.0
+    jac[:, 1, 1] = 1.0
+    jac[:, 2, : m - 1] = -(
+        1.0 + np.sin(3.0 * np.pi * f12) + 3.0 * np.pi * f12 * np.cos(3.0 * np.pi * f12)
+    )
+    jac[:, 2, m - 1 :] = m * 9.0 / (d - (m - 1))
     return jac
 
 
@@ -300,14 +318,18 @@ def _truss_eval(xs: np.ndarray) -> np.ndarray:
     return np.column_stack([f1, f2])
 
 
-def _truss_jac(x: np.ndarray) -> np.ndarray:
-    x1, x2, x3, x4 = x
+def _truss_jac(xs: np.ndarray) -> np.ndarray:
+    x1, x2, x3, x4 = xs.T
     k = _TRUSS_F * _TRUSS_L / _TRUSS_E
-    return np.array(
+    pw = np.float_power  # libm pow, as the dtlz5 Jacobian explains
+    return np.stack(
         [
-            [2.0 * _TRUSS_L, np.sqrt(2.0) * _TRUSS_L, _TRUSS_L / (2.0 * np.sqrt(x3)), _TRUSS_L],
-            [-2.0 * k / x1**2, -2.0 * np.sqrt(2.0) * k / x2**2, 2.0 * np.sqrt(2.0) * k / x3**2, -2.0 * k / x4**2],
-        ]
+            _columns(2.0 * _TRUSS_L, np.sqrt(2.0) * _TRUSS_L,
+                     _TRUSS_L / (2.0 * np.sqrt(x3)), _TRUSS_L),
+            _columns(-2.0 * k / pw(x1, 2), -2.0 * np.sqrt(2.0) * k / pw(x2, 2),
+                     2.0 * np.sqrt(2.0) * k / pw(x3, 2), -2.0 * k / pw(x4, 2)),
+        ],
+        axis=1,
     )
 
 
@@ -338,55 +360,40 @@ def _brake_eval(xs: np.ndarray) -> np.ndarray:
     return np.column_stack([f1, f2, violation])
 
 
-def _brake_jac(x: np.ndarray) -> np.ndarray:
-    x1, x2, x3, x4 = x
-    a = x2**2 - x1**2
-    c = x2**3 - x1**3
-    da = np.array([-2.0 * x1, 2.0 * x2, 0.0, 0.0])
-    dc = np.array([-3.0 * x1**2, 3.0 * x2**2, 0.0, 0.0])
+def _brake_jac(xs: np.ndarray) -> np.ndarray:
+    x1, x2, x3, x4 = xs.T
+    pw = np.float_power  # libm pow, as the dtlz5 Jacobian explains
+    a = pw(x2, 2) - pw(x1, 2)
+    c = pw(x2, 3) - pw(x1, 3)
+    da = _columns(-2.0 * x1, 2.0 * x2, 0.0, 0.0)
+    dc = _columns(-3.0 * pw(x1, 2), 3.0 * pw(x2, 2), 0.0, 0.0)
 
-    jac = np.zeros((3, 4))
-    jac[0] = 4.9e-5 * (da * (x4 - 1.0))
-    jac[0, 3] += 4.9e-5 * a
+    jac = np.zeros((len(xs), 3, 4))
+    jac[:, 0] = 4.9e-5 * (da * (x4 - 1.0)[:, None])
+    jac[:, 0, 3] += 4.9e-5 * a
     # f2 = K a / (x3 x4 c)
     k = 9.82e6
     denom = x3 * x4 * c
-    ddenom = np.array([x3 * x4 * dc[0], x3 * x4 * dc[1], x4 * c, x3 * c])
-    jac[1] = k * (da * denom - a * ddenom) / denom**2
+    ddenom = _columns(x3 * x4 * dc[:, 0], x3 * x4 * dc[:, 1], x4 * c, x3 * c)
+    jac[:, 1] = k * (da * denom[:, None] - a[:, None] * ddenom) / pw(denom, 2)[:, None]
 
     dg1 = np.array([-1.0, 1.0, 0.0, 0.0])
-    dg2 = np.array(
-        [
-            -2.0 * x1 * x3 / (3.14 * a**2),
-            2.0 * x2 * x3 / (3.14 * a**2),
-            -1.0 / (3.14 * a),
-            0.0,
-        ]
-    )
+    dg2 = _columns(-2.0 * x1 * x3 / (3.14 * pw(a, 2)), 2.0 * x2 * x3 / (3.14 * pw(a, 2)),
+                   -1.0 / (3.14 * a), 0.0)
     # g3 = 1 - k3 x3 c / a^2
     k3 = 2.22e-3
-    dg3 = np.array(
-        [
-            -k3 * x3 * (dc[0] * a - 2.0 * c * da[0]) / a**3,
-            -k3 * x3 * (dc[1] * a - 2.0 * c * da[1]) / a**3,
-            -k3 * c / a**2,
-            0.0,
-        ]
-    )
+    dg3 = _columns(-k3 * x3 * (dc[:, 0] * a - 2.0 * c * da[:, 0]) / pw(a, 3),
+                   -k3 * x3 * (dc[:, 1] * a - 2.0 * c * da[:, 1]) / pw(a, 3),
+                   -k3 * c / pw(a, 2), 0.0)
     # g4 = k4 x3 x4 c / a - 900
     k4 = 2.66e-2
-    dg4 = np.array(
-        [
-            k4 * x3 * x4 * (dc[0] * a - c * da[0]) / a**2,
-            k4 * x3 * x4 * (dc[1] * a - c * da[1]) / a**2,
-            k4 * x4 * c / a,
-            k4 * x3 * c / a,
-        ]
-    )
+    dg4 = _columns(k4 * x3 * x4 * (dc[:, 0] * a - c * da[:, 0]) / pw(a, 2),
+                   k4 * x3 * x4 * (dc[:, 1] * a - c * da[:, 1]) / pw(a, 2),
+                   k4 * x4 * c / a, k4 * x3 * c / a)
+    # The violated set comes from the constraint values the evaluation uses.
     gs = _brake_constraints(x1, x2, x3, x4)
     for g, dg in zip(gs, (dg1, dg2, dg3, dg4)):
-        if g < 0.0:
-            jac[2] -= dg
+        jac[:, 2] -= np.where((g < 0.0)[:, None], dg, 0.0)
     return jac
 
 

@@ -1,8 +1,11 @@
 """Preference-based scalarization functions and their subgradients.
 
-Each function collapses an objective vector ``f`` to a scalar given a
-preference vector ``p`` and returns ``(value, gradient)`` where the gradient
-is taken with respect to ``f``. Ties at max/min operators break toward the
+Each function collapses objective vectors ``f`` to scalars given preference
+vectors ``p`` and returns ``(value, gradient)``, the gradient taken with
+respect to ``f``. Inputs are arrays of shape ``(..., m)``: one vector of
+shape ``(m,)`` gives a scalar value, a batch of shape ``(n, m)`` gives
+``n`` values and an ``(n, m)`` gradient, and each row equals the call on
+that row alone, bit for bit. Ties at max/min operators break toward the
 lowest index so the subgradients are deterministic.
 """
 
@@ -46,12 +49,27 @@ def _check_dims(f: np.ndarray, p: np.ndarray) -> None:
         raise ValueError(f"objective vector shape {f.shape} != preference shape {p.shape}")
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Dot products over the last axis as stacked matmuls, which round like
+    # a 1-D `a @ b`; an elementwise product summed along the axis does not.
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _pick(terms: np.ndarray, i_star: np.ndarray, values) -> tuple[np.ndarray, np.ndarray]:
+    # The terms at the chosen index, and a gradient that is ``values`` there
+    # and zero elsewhere.
+    i_star = i_star[..., None]
+    picked = np.take_along_axis(terms, i_star, axis=-1)[..., 0]
+    onehot = np.arange(terms.shape[-1]) == i_star
+    return picked, np.where(onehot, values, 0.0)
+
+
 def weighted_sum(f, p):
     """g = sum_i p_i f_i; gradient is p itself."""
     f = np.asarray(f, dtype=float)
     p = np.asarray(p, dtype=float)
     _check_dims(f, p)
-    return float(p @ f), p.copy()
+    return _dot(p, f), p.copy()
 
 
 def tchebycheff(f, p, ideal: IdealPoint):
@@ -60,10 +78,7 @@ def tchebycheff(f, p, ideal: IdealPoint):
     p = np.asarray(p, dtype=float)
     _check_dims(f, p)
     terms = p * (f - (ideal.z - ideal.epsilon))
-    i_star = int(np.argmax(terms))
-    grad = np.zeros_like(f)
-    grad[i_star] = p[i_star]
-    return float(terms[i_star]), grad
+    return _pick(terms, np.argmax(terms, axis=-1), p)
 
 
 def modified_tchebycheff(f, p, ideal: IdealPoint):
@@ -72,10 +87,7 @@ def modified_tchebycheff(f, p, ideal: IdealPoint):
     p = np.maximum(np.asarray(p, dtype=float), PREFERENCE_CLAMP)
     _check_dims(f, p)
     terms = (f - (ideal.z - ideal.epsilon)) / p
-    i_star = int(np.argmax(terms))
-    grad = np.zeros_like(f)
-    grad[i_star] = 1.0 / p[i_star]
-    return float(terms[i_star]), grad
+    return _pick(terms, np.argmax(terms, axis=-1), 1.0 / p)
 
 
 def cosmos(f, p, gamma: float = 1.0):
@@ -87,17 +99,21 @@ def cosmos(f, p, gamma: float = 1.0):
     f = np.asarray(f, dtype=float)
     p = np.asarray(p, dtype=float)
     _check_dims(f, p)
-    value = float(p @ f)
-    grad = p.copy()
-    norm_f = np.linalg.norm(f)
-    norm_p = np.linalg.norm(p)
-    if norm_f > 0.0 and norm_p > 0.0:
-        dot = float(p @ f)
-        cos = dot / (norm_p * norm_f)
-        value -= gamma * cos
-        # d cos / df = p / (|p||f|) - (p.f) f / (|p| |f|^3)
-        dcos = p / (norm_p * norm_f) - dot * f / (norm_p * norm_f**3)
-        grad -= gamma * dcos
+    dot = _dot(p, f)
+    norm_f = np.sqrt(_dot(f, f))
+    norm_p = np.sqrt(_dot(p, p))
+    has_cos = (norm_f > 0.0) & (norm_p > 0.0)
+    # Unit norms stand in where there is no cosine term, to keep the
+    # division clean; np.where then drops those rows.
+    norm_f = np.where(has_cos, norm_f, 1.0)
+    norm_p = np.where(has_cos, norm_p, 1.0)
+    cos = dot / (norm_p * norm_f)
+    # d cos / df = p / (|p||f|) - (p.f) f / (|p| |f|^3); float_power is the
+    # libm pow that ** on a float calls, array ** rounds differently.
+    dcos = (p / (norm_p * norm_f)[..., None]
+            - dot[..., None] * f / (norm_p * np.float_power(norm_f, 3))[..., None])
+    value = np.where(has_cos, dot - gamma * cos, dot)[()]
+    grad = np.where(has_cos[..., None], p - gamma * dcos, p)
     return value, grad
 
 
@@ -115,8 +131,5 @@ def hv_scalarization(f, direction, ref):
     r = np.asarray(ref, dtype=float)
     _check_dims(f, lam)
     quotients = (r - f) / lam
-    i_star = int(np.argmin(quotients))
-    grad = np.zeros_like(f)
-    grad[i_star] = -1.0 / lam[i_star]
-    inside = bool(np.all(f < r))
-    return float(quotients[i_star]), grad, inside
+    s, grad = _pick(quotients, np.argmin(quotients, axis=-1), -1.0 / lam)
+    return s, grad, np.all(f < r, axis=-1)

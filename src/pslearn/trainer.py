@@ -1,6 +1,6 @@
-"""Training loops and model evaluation.
+"""Training loop and model evaluation.
 
-Two families of algorithms share one engine:
+One loop trains every algorithm; only the batch loss differs:
 
 * ``gpsl-g`` / ``gpsl-l`` / ``gpsl-d`` train the transformation model by
   maximizing the direction-decomposed hypervolume approximation of the batch
@@ -9,11 +9,13 @@ Two families of algorithms share one engine:
   classic preference-conditioned model: the latent input is a Dirichlet(1)
   preference vector and the loss is the per-sample scalarization.
 
-Objectives are min-max normalized during training with running extremes
-updated from each batch (the reference front is never consulted while
-training); evaluation normalizes with the reference front's extremes so the
-metric is identical for every algorithm. Holding the seed fixed, the whole
-pipeline is bit-reproducible.
+Each batch loss works on the whole batch at once: one problem evaluation,
+one loss call and one stacked Jacobian chain per batch. Objectives are
+min-max normalized during training with running extremes updated from each
+batch (the reference front is never consulted while training); evaluation
+normalizes with the reference front's extremes so the metric is identical
+for every algorithm. Holding the seed fixed, the whole pipeline is
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .sampling import (
     sample_lhs,
 )
 from .scalarization import (
+    PREFERENCE_CLAMP,
     IdealPoint,
     cosmos,
     hv_scalarization,
@@ -61,8 +64,6 @@ __all__ = [
     "TrainResult",
     "TrainingDiverged",
     "train",
-    "train_gpsl",
-    "train_preference_psl",
     "evaluate_model",
     "latent_sampler",
     "write_metrics_csv",
@@ -158,11 +159,13 @@ class TrainResult:
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss becomes non-finite."""
+    """Raised when the training loss or a parameter gradient becomes non-finite."""
 
-    def __init__(self, iteration: int, params: net.NetworkParams):
-        super().__init__(f"non-finite loss at iteration {iteration}")
+    def __init__(self, seed: int, iteration: int, cause: str, params: net.NetworkParams):
+        super().__init__(f"seed {seed}: non-finite {cause} at iteration {iteration}")
+        self.seed = seed
         self.iteration = iteration
+        self.cause = cause  # "loss" or "gradient"
         self.params = params
 
 
@@ -256,79 +259,99 @@ class _RunningExtremes:
 
 def _chain_to_params(params, cache, problem, xs, d_loss_d_raw):
     """dL/d(theta) from per-sample dL/df via problem Jacobians and backprop."""
-    d_loss_d_x = np.empty((xs.shape[0], problem.d))
-    for i in range(xs.shape[0]):
-        d_loss_d_x[i] = problem.jacobian(xs[i]).T @ d_loss_d_raw[i]
+    # A stacked matmul rounds like the per-row `J.T @ g`; einsum does not.
+    d_loss_d_x = np.matmul(d_loss_d_raw[:, None, :], problem.jacobian(xs))[:, 0, :]
     return net.backward(params, cache, d_loss_d_x)
+
+
+def _batch_mean(values: np.ndarray) -> float:
+    # Summed left to right from 0.0, as a loop `loss += value / n` would:
+    # np.sum and np.mean sum pairwise and move the last bits of the loss.
+    return float(0.0 + np.cumsum(values / len(values))[-1])
+
+
+def _hv_loss(y, r, dirs: DirectionSet, batch_as_set: bool):
+    """Loss and d(loss)/dy of a normalized GPSL batch: the negated mean HV.
+
+    The batch is one point set (default), or each row is scored as its own
+    set. With one point per set, each direction's best length is that
+    point's own projection length, so the values and subgradients of all
+    the singletons follow from one (n, D) length matrix.
+    """
+    n, m = y.shape
+    if batch_as_set:
+        return -r2_hv_approx(y, r, dirs) / n, -r2_hv_subgradient(y, r, dirs) / n
+    ratios = (r - y)[:, None, :] / dirs.directions[None, :, :]  # (n, D, m)
+    lengths = ratios.min(axis=2)
+    values = dirs.c_m * np.sum(np.maximum(lengths, 0.0) ** m, axis=1)
+    # As in r2_hv_subgradient: a direction with a positive length credits
+    # the coordinate of its inner minimum, accumulated in direction order.
+    rows, d_idx = np.nonzero(lengths > 0.0)
+    coord = ratios[rows, d_idx].argmin(axis=1)
+    contrib = (dirs.c_m * m * lengths[rows, d_idx] ** (m - 1)
+               * (-1.0 / dirs.directions[d_idx, coord]))
+    grad = np.zeros_like(y)
+    np.add.at(grad, (rows, coord), contrib)
+    return _batch_mean(-values), -grad / n
 
 
 def _gpsl_batch_loss(params, latents, problem, dirs: DirectionSet, extremes,
                      ref_offset: float, batch_as_set: bool):
     """Loss, parameter gradients and raw objectives for one GPSL batch.
 
-    Updates ``extremes`` from the batch before normalizing. The batch's
-    outputs form the point set of one hypervolume term (default) or each
-    sample is scored as a singleton set; either way the mean over the batch
-    is the loss and its negative gradient flows back through the problem
+    Updates ``extremes`` from the batch before normalizing; the loss and its
+    gradient come from :func:`_hv_loss` and flow back through the problem
     Jacobian and the network.
     """
     xs, cache = net.forward(params, latents, problem.lb, problem.ub)
     raw = problem.evaluate_batch(xs)
     extremes.update(raw)
     y = extremes.normalize(raw)
-    n = y.shape[0]
     r = np.full(problem.m, ref_offset)
-    if batch_as_set:
-        value = r2_hv_approx(y, r, dirs)
-        d_loss_d_y = -r2_hv_subgradient(y, r, dirs) / n
-        loss = -value / n
-    else:
-        loss = 0.0
-        d_loss_d_y = np.zeros_like(y)
-        for i in range(n):
-            loss -= r2_hv_approx(y[i : i + 1], r, dirs) / n
-            d_loss_d_y[i] = -r2_hv_subgradient(y[i : i + 1], r, dirs)[0] / n
-    d_loss_d_raw = d_loss_d_y / extremes.range
-    grads = _chain_to_params(params, cache, problem, xs, d_loss_d_raw)
+    loss, d_loss_d_y = _hv_loss(y, r, dirs, batch_as_set)
+    grads = _chain_to_params(params, cache, problem, xs, d_loss_d_y / extremes.range)
     return loss, grads, raw
 
 
-def _preference_batch_loss(params, prefs, problem, loss_kind: str, ideal: IdealPoint,
-                           extremes, config: TrainConfig):
-    """Loss, parameter gradients and raw objectives for one preference batch."""
+def _psl_hv(y, prefs, ideal, config):
+    # Projected distance along the unit direction of the clamped preference,
+    # maximized, so its negative is the loss.
+    lam = np.maximum(prefs, PREFERENCE_CLAMP)
+    # The stacked matmul rounds like np.linalg.norm of each row.
+    lam = lam / np.sqrt(np.matmul(lam[:, None, :], lam[:, :, None]))[:, 0]
+    s, grad, _ = hv_scalarization(y, lam, np.full(y.shape[1], config.ref_offset))
+    return -s, -grad
+
+
+# Per-sample preference losses on a normalized batch, keyed by algorithm:
+# (y, prefs, ideal, config) -> (values (n,), gradients (n, m)). The entries
+# look the scalarizations up by name at call time, so a wrapper installed
+# on this module (as the benchmark's per-layer tracer does) sees each call.
+_PREFERENCE_LOSSES = {
+    "psl-ls": lambda y, prefs, ideal, config: weighted_sum(y, prefs),
+    "psl-tch": lambda y, prefs, ideal, config: tchebycheff(y, prefs, ideal),
+    "psl-mtch": lambda y, prefs, ideal, config: modified_tchebycheff(y, prefs, ideal),
+    "cosmos": lambda y, prefs, ideal, config: cosmos(y, prefs, config.cosmos_gamma),
+    "psl-hv": _psl_hv,
+}
+
+
+def _preference_batch_loss(params, prefs, problem, extremes, config: TrainConfig):
+    """Loss, parameter gradients and raw objectives for one preference batch.
+
+    The Tchebycheff losses shift from the running ideal point, the
+    componentwise minimum of every objective seen so far. That is
+    ``extremes.low``, so in normalized space the ideal point is the origin.
+    """
     xs, cache = net.forward(params, prefs, problem.lb, problem.ub)
     raw = problem.evaluate_batch(xs)
     extremes.update(raw)
-    ideal.update(raw)
     y = extremes.normalize(raw)
-    n = y.shape[0]
-    ideal_norm = IdealPoint(
-        z=(ideal.z - extremes.low) / extremes.range, epsilon=config.tch_epsilon
-    )
-    r = np.full(problem.m, config.ref_offset)
-    loss = 0.0
-    d_loss_d_y = np.zeros_like(y)
-    for i in range(n):
-        if loss_kind == "psl-ls":
-            value, grad = weighted_sum(y[i], prefs[i])
-        elif loss_kind == "psl-tch":
-            value, grad = tchebycheff(y[i], prefs[i], ideal_norm)
-        elif loss_kind == "psl-mtch":
-            value, grad = modified_tchebycheff(y[i], prefs[i], ideal_norm)
-        elif loss_kind == "cosmos":
-            value, grad = cosmos(y[i], prefs[i], config.cosmos_gamma)
-        elif loss_kind == "psl-hv":
-            lam = np.maximum(prefs[i], 1e-6)
-            lam = lam / np.linalg.norm(lam)
-            s, grad_s, _ = hv_scalarization(y[i], lam, r)
-            value, grad = -s, -grad_s
-        else:
-            raise ValueError(f"unknown preference loss {loss_kind!r}")
-        loss += value / n
-        d_loss_d_y[i] = grad / n
-    d_loss_d_raw = d_loss_d_y / extremes.range
+    ideal = IdealPoint(z=np.zeros(problem.m), epsilon=config.tch_epsilon)
+    values, grads = _PREFERENCE_LOSSES[config.algorithm](y, prefs, ideal, config)
+    d_loss_d_raw = grads / y.shape[0] / extremes.range
     grads = _chain_to_params(params, cache, problem, xs, d_loss_d_raw)
-    return loss, grads, raw
+    return _batch_mean(values), grads, raw
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +424,7 @@ def _resolve_front(problem: Problem, front: ParetoFrontData | None) -> ParetoFro
 
 
 def _train_loop(config: TrainConfig, problem: Problem, front: ParetoFrontData,
-                make_batch_loss) -> TrainResult:
+                batch_loss) -> TrainResult:
     draw, in_offset, in_scale = latent_sampler(config, problem)
     k = config.resolved_latent_dim(problem)
     layer_sizes = (k, *config.hidden_sizes, problem.d)
@@ -432,76 +455,45 @@ def _train_loop(config: TrainConfig, problem: Problem, front: ParetoFrontData,
         )
 
     # Row 0 scores the untrained model; its loss is probed on an evaluation
-    # batch with throwaway state so neither the training extremes nor the
+    # batch with throwaway extremes so neither the training extremes nor the
     # rng stream are touched.
     probe_latents = draw(config.batch_size, config.eval_seed)
-    probe_loss, _, _ = make_batch_loss()(params, probe_latents, _RunningExtremes(problem.m))
+    probe_loss, _, _ = batch_loss(params, probe_latents, _RunningExtremes(problem.m))
     evaluate(0, probe_loss)
 
-    batch_loss = make_batch_loss()
     extremes = _RunningExtremes(problem.m)
     loss = math.nan
     for iteration in range(1, config.iterations + 1):
         latents = draw(config.batch_size, rng)
         loss, grads, _ = batch_loss(params, latents, extremes)
         if not math.isfinite(loss):
-            raise TrainingDiverged(iteration, params)
+            raise TrainingDiverged(config.seed, iteration, "loss", params)
+        if not all(np.isfinite(g).all() for layer in grads for g in layer):
+            raise TrainingDiverged(config.seed, iteration, "gradient", params)
         params, state = net.adam_step(params, grads, state)
         if iteration % config.eval_interval == 0 or iteration == config.iterations:
             evaluate(iteration, loss)
     return TrainResult(params=params, adam_state=state, metrics=metrics, config=config)
 
 
-def train_gpsl(config: TrainConfig, front: ParetoFrontData | None = None) -> TrainResult:
-    """Train a distribution-transformation model by hypervolume maximization."""
-    if config.algorithm not in GPSL_ALGORITHMS:
-        raise ValueError(f"train_gpsl got non-GPSL algorithm {config.algorithm!r}")
-    problem = get_problem(config.problem)
-    front = _resolve_front(problem, front)
-    divisions = config.directions_h or default_divisions(problem.m)
-    dirs = das_dennis(problem.m, divisions)
-
-    def make_batch_loss():
-        def batch_loss(params, latents, extremes):
-            return _gpsl_batch_loss(
-                params, latents, problem, dirs, extremes,
-                config.ref_offset, config.hv_batch_as_set,
-            )
-
-        return batch_loss
-
-    return _train_loop(config, problem, front, make_batch_loss)
-
-
-def train_preference_psl(
-    config: TrainConfig,
-    front: ParetoFrontData | None = None,
-    loss_kind: str | None = None,
-) -> TrainResult:
-    """Train a preference-conditioned model with the chosen scalarization."""
-    kind = loss_kind or config.algorithm
-    if kind not in PREFERENCE_ALGORITHMS:
-        raise ValueError(f"unknown preference loss {kind!r}")
-    problem = get_problem(config.problem)
-    front = _resolve_front(problem, front)
-
-    def make_batch_loss():
-        # Ideal point starts at the first observed batch minimum and only
-        # ever decreases; each loop owns its own copy.
-        ideal = IdealPoint(z=np.full(problem.m, np.inf), epsilon=config.tch_epsilon)
-
-        def batch_loss(params, latents, extremes):
-            return _preference_batch_loss(
-                params, latents, problem, kind, ideal, extremes, config
-            )
-
-        return batch_loss
-
-    return _train_loop(config, problem, front, make_batch_loss)
-
-
 def train(config: TrainConfig, front: ParetoFrontData | None = None) -> TrainResult:
-    """Dispatch to the GPSL or preference-based trainer by algorithm tag."""
+    """Train the model of ``config.algorithm`` and log its evaluations.
+
+    GPSL algorithms maximize the batch hypervolume approximation; the
+    preference algorithms minimize their scalarization. ``front`` defaults
+    to the problem's analytic reference front.
+    """
+    problem = get_problem(config.problem)
+    front = _resolve_front(problem, front)
     if config.algorithm in GPSL_ALGORITHMS:
-        return train_gpsl(config, front)
-    return train_preference_psl(config, front)
+        dirs = das_dennis(problem.m, config.directions_h or default_divisions(problem.m))
+
+        def batch_loss(params, latents, extremes):
+            return _gpsl_batch_loss(params, latents, problem, dirs, extremes,
+                                    config.ref_offset, config.hv_batch_as_set)
+    else:
+
+        def batch_loss(params, latents, extremes):
+            return _preference_batch_loss(params, latents, problem, extremes, config)
+
+    return _train_loop(config, problem, front, batch_loss)

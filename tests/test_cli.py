@@ -3,6 +3,7 @@ grid row counts, ablation arms, and checkpoint re-evaluation."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -187,6 +188,21 @@ class TestConfigFile:
         cfg.write_text("problem = zdt3\nwibble = 3\n")
         rc = main(["run", "--config", str(cfg), "--algo", "gpsl-g", "--out", str(tmp_path)])
         assert rc == 1
+
+    @pytest.mark.parametrize("line", ["hv_batch_as_set = maybe", "iterations = x"])
+    def test_bad_value_names_path_and_line(self, tmp_path, line):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"problem = zdt3\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{cfg}:2: bad value")):
+            _parse_config_file(cfg)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("TRUE", True), ("yes", True), ("1", True), ("False", False), ("NO", False), ("0", False),
+    ])
+    def test_boolean_spellings(self, tmp_path, text, expected):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"hv_batch_as_set = {text}\n")
+        assert _parse_config_file(cfg)["hv_batch_as_set"] is expected
 
     def test_comments_allowed(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -115,16 +115,18 @@ class TestJacobian:
     def test_matches_finite_differences_at_100_points(self, name):
         prob = get_problem(name)
         rng = np.random.default_rng(hash(name) % 2**32)
-        checked = 0
-        while checked < 100:
+        points = []
+        while len(points) < 100:
             x = interior_point(prob, rng)
-            if not away_from_kinks(prob, x):
-                continue
-            analytic = prob.jacobian(x)
-            fd = finite_difference_jacobian(prob, x)
-            scale = np.maximum(np.abs(fd), 1e-6)
+            if away_from_kinks(prob, x):
+                points.append(x)
+        xs = np.stack(points)
+        fd = np.stack([finite_difference_jacobian(prob, x) for x in xs])
+        scale = np.maximum(np.abs(fd), 1e-6)
+        # Point by point, and the 100 points as one (n, d) batch.
+        for analytic in (np.stack([prob.jacobian(x) for x in xs]), prob.jacobian(xs)):
             assert np.max(np.abs(analytic - fd) / scale) < 1e-4
-            checked += 1
+        np.testing.assert_array_equal(finite_difference_jacobian(prob, xs), fd)
 
     def test_fd_fallback_used_without_analytic_jacobian(self):
         toy = Problem(
@@ -141,6 +143,7 @@ class TestJacobian:
         jac = toy.jacobian(x)
         np.testing.assert_allclose(jac[0], 2.0 * x, rtol=1e-6)
         np.testing.assert_allclose(jac[1], 2.0 * (x - 1.0), rtol=1e-6)
+        np.testing.assert_array_equal(toy.jacobian(np.stack([x, -x]))[0], jac)
 
 
 class TestFronts:

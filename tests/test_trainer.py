@@ -11,8 +11,8 @@ import pslearn.network as net
 
 from pslearn.problems import Problem, ParetoFrontData, get_problem, pareto_front, register_problem
 from pslearn.sampling import das_dennis
-from pslearn.scalarization import IdealPoint
 from pslearn.trainer import (
+    ALGORITHMS,
     MetricsLog,
     MetricsRecord,
     TrainConfig,
@@ -24,8 +24,6 @@ from pslearn.trainer import (
     evaluate_model,
     latent_sampler,
     train,
-    train_gpsl,
-    train_preference_psl,
     write_metrics_csv,
 )
 
@@ -160,29 +158,35 @@ class TestTrainLoop:
         records = train(cfg).metrics.records
         assert len(records) == 20 // 10 + 1
 
-    def test_wrong_family_rejected(self):
-        with pytest.raises(ValueError):
-            train_gpsl(TrainConfig(problem="zdt3", algorithm="psl-ls"))
-        with pytest.raises(ValueError):
-            train_preference_psl(TrainConfig(problem="zdt3", algorithm="gpsl-g"))
-
-    def test_diverged_loss_carries_snapshot(self):
+    @staticmethod
+    def diverge(loss, grad_fill):
+        """The TrainingDiverged of a loop whose batch loss returns these."""
         cfg = TrainConfig(problem="zdt3", algorithm="gpsl-g", **TINY)
 
-        def make_nan_loss():
-            def nan_loss(params, latents, extremes):
-                zeros = (
-                    [np.zeros_like(w) for w in params.weights],
-                    [np.zeros_like(b) for b in params.biases],
-                )
-                return math.nan, zeros, np.zeros((len(latents), 2))
-
-            return nan_loss
+        def bad_loss(params, latents, extremes):
+            grads = (
+                [np.full_like(w, grad_fill) for w in params.weights],
+                [np.zeros_like(b) for b in params.biases],
+            )
+            return loss, grads, np.zeros((len(latents), 2))
 
         with pytest.raises(TrainingDiverged) as err:
-            _train_loop(cfg, get_problem("zdt3"), pareto_front("zdt3", 200), make_nan_loss)
-        assert err.value.iteration == 1
-        assert err.value.params is not None
+            _train_loop(cfg, get_problem("zdt3"), pareto_front("zdt3", 200), bad_loss)
+        return err.value
+
+    def test_diverged_loss_carries_snapshot(self):
+        err = self.diverge(math.nan, 0.0)
+        assert err.iteration == 1
+        assert err.params is not None
+        assert str(err) == "seed 0: non-finite loss at iteration 1"
+
+    def test_diverged_gradient_carries_snapshot(self):
+        # An inf gradient, as ZDT3's sqrt(g / f1) gives once x1 reaches 0,
+        # is a typed divergence, not adam_step's bare ValueError.
+        err = self.diverge(0.5, math.inf)
+        assert (err.seed, err.iteration, err.cause) == (0, 1, "gradient")
+        assert err.params is not None
+        assert str(err) == "seed 0: non-finite gradient at iteration 1"
 
     def test_batch_of_one_makes_both_estimate_modes_agree(self):
         base = dict(problem="zdt3", iterations=6, batch_size=1, eval_interval=3,
@@ -198,19 +202,19 @@ class TestTrainLoop:
         assert all(math.isfinite(r.loss) for r in records)
 
     def test_ideal_point_nonincreasing_over_run(self):
+        # The Tchebycheff losses' ideal point is the extremes' running minimum.
         prob = get_problem("zdt3")
         cfg = TrainConfig(problem="zdt3", algorithm="psl-tch", **TINY)
         params = net.init_network((2, 8, 30), 0)
-        ideal = IdealPoint(z=np.full(2, np.inf))
         ext = _RunningExtremes(2)
         rng = np.random.default_rng(0)
-        prev = ideal.z.copy()
+        prev = ext.low.copy()
         for _ in range(12):
             prefs = rng.dirichlet(np.ones(2), size=6)
-            _preference_batch_loss(params, prefs, prob, "psl-tch", ideal, ext, cfg)
-            assert np.all(ideal.z <= prev)
-            prev = ideal.z.copy()
-        assert np.all(np.isfinite(ideal.z))
+            _preference_batch_loss(params, prefs, prob, ext, cfg)
+            assert np.all(ext.low <= prev)
+            prev = ext.low.copy()
+        assert np.all(np.isfinite(ext.low))
 
     def test_weighted_sum_converges_on_shared_minimizer(self):
         # Both objectives minimized at the same decision point: every
@@ -304,6 +308,16 @@ class TestMetricsPlumbing:
         assert float(cells[1]) == -1.0 / 3.0
         assert float(cells[2]) == 0.1234567890123456
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_every_cell_is_a_plain_number(self, algorithm, tmp_path):
+        # On ZDT3, where exact_hv returns floats; the m = 3 hv cells are not.
+        cfg = TrainConfig(problem="zdt3", algorithm=algorithm, **TINY)
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(train(cfg).metrics, path)
+        for line in path.read_text().splitlines()[1:]:
+            for cell in line.split(","):
+                float(cell)  # a np.float64(...) repr raises here
+
 class TestFullChainGradients:
     """Backpropagated gradients of the actual training losses, checked against
     central finite differences over the parameters with frozen extremes."""
@@ -340,10 +354,7 @@ class TestFullChainGradients:
 
         def run(theta):
             trial = unflatten_into(params, theta)
-            ideal = IdealPoint(z=np.full(2, -5.0), epsilon=0.1)
-            loss, grads, _ = _preference_batch_loss(
-                trial, prefs, prob, kind, ideal, wide_extremes(2), cfg
-            )
+            loss, grads, _ = _preference_batch_loss(trial, prefs, prob, wide_extremes(2), cfg)
             return loss, grads
 
         _, grads = run(flatten_params(params))
