@@ -17,6 +17,7 @@ from .hv import (
 from .network import (
     AdamState,
     NetworkParams,
+    NonFiniteGradient,
     adam_step,
     backward,
     forward,

@@ -319,6 +319,11 @@ def cmd_compare(parser, args) -> int:
     if not problems:
         parser.error("compare requires --problems (comma-separated list)")
     _validate_names(parser, problems, algorithms)
+    if settings.get("front") and len(problems) > 1:
+        parser.error(
+            f"--front gives one reference front, but the grid has {len(problems)} "
+            f"problems ({', '.join(problems)}); compare one problem per front file"
+        )
     out_dir = _resolve_out_dir(settings.get("out"))
     arms = [
         (algorithm, {"problem": problem, "algorithm": algorithm})

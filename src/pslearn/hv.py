@@ -244,11 +244,16 @@ def exact_hv(points, ref, method: str = "auto") -> float:
     return _hv_wfg(pts, r)
 
 
-def _projection_lengths(pts: np.ndarray, r: np.ndarray, dirs: DirectionSet) -> np.ndarray:
-    """Per-direction projected distances: shape (n_points, n_directions)."""
-    diffs = r[None, :] - pts  # (n, m)
-    ratios = diffs[:, None, :] / dirs.directions[None, :, :]  # (n, D, m)
-    return ratios.min(axis=2)
+def _ratio_tensor(pts: np.ndarray, r: np.ndarray, dirs: DirectionSet) -> np.ndarray:
+    """The ratios ``(r - p) / lambda``, objective-major: C-contiguous (m, n, D).
+
+    Reduce over the leading objective axis: numpy reduces a short trailing
+    axis (m = 2 or 3) one row at a time, but a leading one as m whole-array
+    passes. Division, ``min`` and ``argmin`` are exact and ``argmin`` keeps
+    the lowest index on ties, so the layout does not change any value.
+    """
+    lam = np.ascontiguousarray(dirs.directions.T)  # (m, D)
+    return (r[:, None] - pts.T)[:, :, None] / lam[:, None, :]
 
 
 def r2_hv_approx(points, ref, dirs: DirectionSet) -> float:
@@ -265,7 +270,7 @@ def r2_hv_approx(points, ref, dirs: DirectionSet) -> float:
         raise ValueError("r2_hv_approx requires a non-empty point set")
     r = np.asarray(ref, dtype=float).reshape(-1)
     m = r.size
-    inner = _projection_lengths(pts, r, dirs)
+    inner = _ratio_tensor(pts, r, dirs).min(axis=0)  # (n, D) projected lengths
     best = np.maximum(inner.max(axis=0), 0.0)
     return float(dirs.c_m * np.sum(best**m))
 
@@ -281,13 +286,12 @@ def r2_hv_subgradient(points, ref, dirs: DirectionSet) -> np.ndarray:
     pts = _as_points(points)
     r = np.asarray(ref, dtype=float).reshape(-1)
     m = r.size
-    diffs = r[None, :] - pts
-    ratios = diffs[:, None, :] / dirs.directions[None, :, :]
-    inner = ratios.min(axis=2)  # (n, D)
+    ratios = _ratio_tensor(pts, r, dirs)  # (m, n, D)
+    inner = ratios.min(axis=0)  # (n, D)
     winner = inner.argmax(axis=0)  # lowest index on ties
     d_idx = np.arange(dirs.directions.shape[0])
     s = inner[winner, d_idx]
-    coord = ratios[winner, d_idx, :].argmin(axis=1)  # lowest coordinate on ties
+    coord = ratios[:, winner, d_idx].argmin(axis=0)  # lowest coordinate on ties
     grad = np.zeros_like(pts)
     active = s > 0.0
     if np.any(active):

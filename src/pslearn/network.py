@@ -13,13 +13,14 @@ with large-magnitude bounds) and is part of the model, not of the sampler.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 __all__ = [
     "NetworkParams",
     "AdamState",
+    "NonFiniteGradient",
     "init_network",
     "forward",
     "backward",
@@ -30,49 +31,93 @@ __all__ = [
 ]
 
 
+def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views of a vector laid out as w0, b0, w1, b1, ..."""
+    weights, biases = [], []
+    pos = 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        end = pos + fan_out * fan_in
+        weights.append(flat[pos:end].reshape(fan_out, fan_in))
+        biases.append(flat[end : end + fan_out])
+        pos = end + fan_out
+    return weights, biases
+
+
+def _flatten(weights, biases) -> np.ndarray:
+    """Inverse of :func:`_layer_views`: one new vector laid out as w0, b0, w1, b1, ..."""
+    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+
+
 @dataclass
 class NetworkParams:
     """Weights and biases of the transformation model.
 
-    ``weights[l]`` has shape (layer_sizes[l+1], layer_sizes[l]); biases match
-    the output side. ``input_offset``/``input_scale`` define the fixed input
-    standardisation ``v' = (v - offset) / scale``.
+    ``flat`` holds every weight and bias in one contiguous float64 vector,
+    layer by layer. ``weights[l]`` (shape (layer_sizes[l+1], layer_sizes[l]))
+    and ``biases[l]`` (the output side) are reshaped views of it, so an
+    in-place edit of either writes through. ``input_offset``/``input_scale``
+    define the fixed input standardisation ``v' = (v - offset) / scale``.
     """
 
     layer_sizes: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray
     input_offset: np.ndarray
     input_scale: np.ndarray
     activation: str = "relu"
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        sizes = self.layer_sizes
+        size = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+        if self.flat.dtype != np.float64 or self.flat.shape != (size,):
+            raise ValueError(
+                f"layer sizes {sizes} need a float64 vector of {size} parameters, "
+                f"got {self.flat.dtype} of shape {self.flat.shape}"
+            )
+        self.weights, self.biases = _layer_views(self.flat, sizes)
+
+    def __reduce__(self):
+        # Pickle and deepcopy rebuild through __init__, so that the layer
+        # views share the new vector instead of becoming copies of their own.
+        return type(self), (self.layer_sizes, self.flat, self.input_offset,
+                            self.input_scale, self.activation)
 
     def n_layers(self) -> int:
         return len(self.weights)
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            layer_sizes=self.layer_sizes,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
+        return replace(
+            self,
+            flat=self.flat.copy(),
             input_offset=self.input_offset.copy(),
             input_scale=self.input_scale.copy(),
-            activation=self.activation,
         )
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and hyperparameters of Adam."""
+    """First/second moment accumulators and hyperparameters of Adam.
 
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    The moments ``m`` and ``v`` are flat vectors laid out like
+    :attr:`NetworkParams.flat`.
+    """
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+
+class NonFiniteGradient(ValueError):
+    """A gradient passed to :func:`adam_step` holds a NaN or an infinity."""
+
+    def __init__(self, layer: int):
+        super().__init__(f"non-finite gradient at layer {layer}")
+        self.layer = layer
 
 
 def init_network(
@@ -105,8 +150,7 @@ def init_network(
         raise ValueError("input_scale must be strictly positive")
     return NetworkParams(
         layer_sizes=sizes,
-        weights=weights,
-        biases=biases,
+        flat=_flatten(weights, biases),
         input_offset=offset,
         input_scale=scale,
     )
@@ -197,10 +241,8 @@ def init_adam(
     eps: float = 1e-8,
 ) -> AdamState:
     return AdamState(
-        m_weights=[np.zeros_like(w) for w in params.weights],
-        v_weights=[np.zeros_like(w) for w in params.weights],
-        m_biases=[np.zeros_like(b) for b in params.biases],
-        v_biases=[np.zeros_like(b) for b in params.biases],
+        m=np.zeros_like(params.flat),
+        v=np.zeros_like(params.flat),
         learning_rate=learning_rate,
         beta1=beta1,
         beta2=beta2,
@@ -209,45 +251,32 @@ def init_adam(
 
 
 def adam_step(params: NetworkParams, grads, state: AdamState):
-    """One Adam update with bias correction; returns new (params, state)."""
+    """One Adam update with bias correction; returns new (params, state).
+
+    The update runs once on the flat parameter vector. Its arithmetic is
+    elementwise, so every parameter gets the bits a per-layer update gives.
+    The new params share the fixed input standardisation arrays.
+    Raises :class:`NonFiniteGradient`, naming the first offending layer, when
+    a gradient holds a NaN or an infinity.
+    """
     grad_w, grad_b = grads
     for layer, (gw, gb) in enumerate(zip(grad_w, grad_b)):
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
-            raise ValueError(f"non-finite gradient at layer {layer}")
         if gw.shape != params.weights[layer].shape or gb.shape != params.biases[layer].shape:
             raise ValueError(f"gradient shape mismatch at layer {layer}")
+    g = _flatten(grad_w, grad_b)
+    if not np.isfinite(g).all():
+        raise NonFiniteGradient(next(
+            layer for layer, (gw, gb) in enumerate(zip(grad_w, grad_b))
+            if not (np.isfinite(gw).all() and np.isfinite(gb).all())
+        ))
     t = state.t + 1
     b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-
-    def update(theta, g, m, v):
-        m_new = b1 * m + (1.0 - b1) * g
-        v_new = b2 * v + (1.0 - b2) * g**2
-        theta_new = theta - lr * (m_new / corr1) / (np.sqrt(v_new / corr2) + eps)
-        return theta_new, m_new, v_new
-
-    new_params = params.copy()
-    new_state = AdamState(
-        m_weights=[], v_weights=[], m_biases=[], v_biases=[],
-        t=t, learning_rate=lr, beta1=b1, beta2=b2, eps=eps,
-    )
-    for layer in range(params.n_layers()):
-        w, mw, vw = update(
-            params.weights[layer], grad_w[layer],
-            state.m_weights[layer], state.v_weights[layer],
-        )
-        b, mb, vb = update(
-            params.biases[layer], grad_b[layer],
-            state.m_biases[layer], state.v_biases[layer],
-        )
-        new_params.weights[layer] = w
-        new_params.biases[layer] = b
-        new_state.m_weights.append(mw)
-        new_state.v_weights.append(vw)
-        new_state.m_biases.append(mb)
-        new_state.v_biases.append(vb)
-    return new_params, new_state
+    m = b1 * state.m + (1.0 - b1) * g
+    v = b2 * state.v + (1.0 - b2) * g**2
+    theta = params.flat - lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+    return replace(params, flat=theta), replace(state, m=m, v=v, t=t)
 
 
 def save_checkpoint(path, params: NetworkParams, state: AdamState, seeds: dict) -> None:
@@ -257,13 +286,15 @@ def save_checkpoint(path, params: NetworkParams, state: AdamState, seeds: dict) 
     are stored in binary).
     """
     arrays = {}
+    m_w, m_b = _layer_views(state.m, params.layer_sizes)
+    v_w, v_b = _layer_views(state.v, params.layer_sizes)
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         arrays[f"w{i}"] = w
         arrays[f"b{i}"] = b
-        arrays[f"adam_mw{i}"] = state.m_weights[i]
-        arrays[f"adam_vw{i}"] = state.v_weights[i]
-        arrays[f"adam_mb{i}"] = state.m_biases[i]
-        arrays[f"adam_vb{i}"] = state.v_biases[i]
+        arrays[f"adam_mw{i}"] = m_w[i]
+        arrays[f"adam_vw{i}"] = v_w[i]
+        arrays[f"adam_mb{i}"] = m_b[i]
+        arrays[f"adam_vb{i}"] = v_b[i]
     arrays["input_offset"] = params.input_offset
     arrays["input_scale"] = params.input_scale
     meta = {
@@ -290,21 +321,23 @@ def load_checkpoint(path):
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         sizes = tuple(meta["layer_sizes"])
-        n_layers = len(sizes) - 1
+        layers = range(len(sizes) - 1)
+
+        def flat(w_key, b_key):
+            return _flatten([data[f"{w_key}{i}"] for i in layers],
+                            [data[f"{b_key}{i}"] for i in layers])
+
         params = NetworkParams(
             layer_sizes=sizes,
-            weights=[data[f"w{i}"] for i in range(n_layers)],
-            biases=[data[f"b{i}"] for i in range(n_layers)],
+            flat=flat("w", "b"),
             input_offset=data["input_offset"],
             input_scale=data["input_scale"],
             activation=meta["activation"],
         )
         adam_meta = meta["adam"]
         state = AdamState(
-            m_weights=[data[f"adam_mw{i}"] for i in range(n_layers)],
-            v_weights=[data[f"adam_vw{i}"] for i in range(n_layers)],
-            m_biases=[data[f"adam_mb{i}"] for i in range(n_layers)],
-            v_biases=[data[f"adam_vb{i}"] for i in range(n_layers)],
+            m=flat("adam_mw", "adam_mb"),
+            v=flat("adam_vw", "adam_vb"),
             t=adam_meta["t"],
             learning_rate=adam_meta["learning_rate"],
             beta1=adam_meta["beta1"],

@@ -109,9 +109,17 @@ def cosmos(f, p, gamma: float = 1.0):
     norm_p = np.where(has_cos, norm_p, 1.0)
     cos = dot / (norm_p * norm_f)
     # d cos / df = p / (|p||f|) - (p.f) f / (|p| |f|^3); float_power is the
-    # libm pow that ** on a float calls, array ** rounds differently.
-    dcos = (p / (norm_p * norm_f)[..., None]
-            - dot[..., None] * f / (norm_p * np.float_power(norm_f, 3))[..., None])
+    # libm pow that ** on a float calls, array ** rounds differently. Where
+    # |f|^3 underflows to 0 the last term is rescaled to
+    # (p.f / |f|) (f / |f|) / (|p||f|), which stays finite.
+    cube = np.float_power(norm_f, 3)
+    tiny = (cube == 0.0)[..., None]
+    along_f = np.where(
+        tiny,
+        (dot / norm_f)[..., None] * (f / norm_f[..., None]) / (norm_p * norm_f)[..., None],
+        dot[..., None] * f / (norm_p * np.where(tiny[..., 0], 1.0, cube))[..., None],
+    )
+    dcos = p / (norm_p * norm_f)[..., None] - along_f
     value = np.where(has_cos, dot - gamma * cos, dot)[()]
     grad = np.where(has_cos[..., None], p - gamma * dcos, p)
     return value, grad

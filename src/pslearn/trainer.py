@@ -29,6 +29,7 @@ import numpy as np
 from . import network as net
 from .hv import (
     HvReport,
+    _ratio_tensor,
     exact_hv,
     log_hv_difference,
     nondominated_filter,  # noqa: F401  benchmarks/spans.py wraps it by this name
@@ -281,13 +282,13 @@ def _hv_loss(y, r, dirs: DirectionSet, batch_as_set: bool):
     n, m = y.shape
     if batch_as_set:
         return -r2_hv_approx(y, r, dirs) / n, -r2_hv_subgradient(y, r, dirs) / n
-    ratios = (r - y)[:, None, :] / dirs.directions[None, :, :]  # (n, D, m)
-    lengths = ratios.min(axis=2)
+    ratios = _ratio_tensor(y, r, dirs)  # (m, n, D)
+    lengths = ratios.min(axis=0)
     values = dirs.c_m * np.sum(np.maximum(lengths, 0.0) ** m, axis=1)
     # As in r2_hv_subgradient: a direction with a positive length credits
     # the coordinate of its inner minimum, accumulated in direction order.
     rows, d_idx = np.nonzero(lengths > 0.0)
-    coord = ratios[rows, d_idx].argmin(axis=1)
+    coord = ratios[:, rows, d_idx].argmin(axis=0)
     contrib = (dirs.c_m * m * lengths[rows, d_idx] ** (m - 1)
                * (-1.0 / dirs.directions[d_idx, coord]))
     grad = np.zeros_like(y)
@@ -468,9 +469,10 @@ def _train_loop(config: TrainConfig, problem: Problem, front: ParetoFrontData,
         loss, grads, _ = batch_loss(params, latents, extremes)
         if not math.isfinite(loss):
             raise TrainingDiverged(config.seed, iteration, "loss", params)
-        if not all(np.isfinite(g).all() for layer in grads for g in layer):
-            raise TrainingDiverged(config.seed, iteration, "gradient", params)
-        params, state = net.adam_step(params, grads, state)
+        try:
+            params, state = net.adam_step(params, grads, state)
+        except net.NonFiniteGradient as err:
+            raise TrainingDiverged(config.seed, iteration, "gradient", params) from err
         if iteration % config.eval_interval == 0 or iteration == config.iterations:
             evaluate(iteration, loss)
     return TrainResult(params=params, adam_state=state, metrics=metrics, config=config)

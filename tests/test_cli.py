@@ -131,6 +131,24 @@ class TestCompare:
         assert len(lines) == 1 + 12 // 6 + 1
         assert not list(out.glob("*.tmp*"))
 
+    def test_front_file_rejected_for_several_problems(self, tmp_path, capsys):
+        front = tmp_path / "front.txt"
+        front.write_text("0.0 1.0\n1.0 0.0\n")
+        with pytest.raises(SystemExit) as err:
+            main(["compare", "--problems", "zdt3,dtlz7", "--algos", "gpsl-g",
+                  "--front", str(front), "--out", str(tmp_path / "out"), *FAST])
+        assert err.value.code == 2
+        assert "2 problems (zdt3, dtlz7)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_front_file_scores_a_single_problem(self, tmp_path):
+        front = tmp_path / "front.txt"
+        front.write_text("0.0 1.0\n0.5 0.5\n1.0 0.0\n")
+        out = tmp_path / "out"
+        assert main(["compare", "--problems", "zdt3", "--algos", "gpsl-g", "--seeds", "1",
+                     "--front", str(front), "--out", str(out), *FAST]) == 0
+        assert (out / "compare.csv").exists()
+
 
 class TestAblate:
     def test_latent_dim_sweep_has_five_arms(self, tmp_path):

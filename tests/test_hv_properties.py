@@ -1,5 +1,6 @@
 """Property tests of the sorted non-dominated filter against the pairwise
-definition check and the brute-force oracle."""
+definition check and the brute-force oracle, and of the objective-major
+R2 ratio tensor against the point-major layout it replaced."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pslearn.hv import _filter_rows, _keep_pairwise, nondominated_filter
+from pslearn.hv import (
+    _filter_rows,
+    _keep_pairwise,
+    nondominated_filter,
+    r2_hv_approx,
+    r2_hv_subgradient,
+)
+from pslearn.sampling import das_dennis
+from pslearn.trainer import _hv_loss
 
 from conftest import brute_force_nondominated
 
@@ -58,3 +67,61 @@ def test_nan_and_inf_rows(filt):
     np.testing.assert_array_equal(out, [[np.nan, 0], [1, 1]])
     out = filt([[1, np.inf], [0, np.nan]])
     np.testing.assert_array_equal(out, [[1, np.inf], [0, np.nan]])
+
+
+def point_major_r2(pts, r, dirs):
+    """The (n, D, m) ratio layout reduced over its trailing axis, as the
+    package computed it before: the R2 approximation, its subgradient, and
+    the per-sample loss and gradient of ``_hv_loss(..., batch_as_set=False)``."""
+    n, m = pts.shape
+    ratios = (r - pts)[:, None, :] / dirs.directions[None, :, :]
+    inner = ratios.min(axis=2)
+    approx = float(dirs.c_m * np.sum(np.maximum(inner.max(axis=0), 0.0) ** m))
+
+    winner = inner.argmax(axis=0)
+    d_idx = np.arange(len(dirs))
+    s = inner[winner, d_idx]
+    coord = ratios[winner, d_idx, :].argmin(axis=1)
+    subgrad = np.zeros_like(pts)
+    active = s > 0.0
+    if np.any(active):
+        lam = dirs.directions[d_idx[active], coord[active]]
+        contrib = dirs.c_m * m * s[active] ** (m - 1) * (-1.0 / lam)
+        np.add.at(subgrad, (winner[active], coord[active]), contrib)
+
+    values = dirs.c_m * np.sum(np.maximum(inner, 0.0) ** m, axis=1)
+    rows, d_idx = np.nonzero(inner > 0.0)
+    coord = ratios[rows, d_idx].argmin(axis=1)
+    contrib = (dirs.c_m * m * inner[rows, d_idx] ** (m - 1)
+               * (-1.0 / dirs.directions[d_idx, coord]))
+    per_sample_grad = np.zeros_like(pts)
+    np.add.at(per_sample_grad, (rows, coord), contrib)
+    per_sample_loss = float(0.0 + np.cumsum(-values / n)[-1])
+    return approx, subgrad, per_sample_loss, -per_sample_grad / n
+
+
+# Quarter steps put points on the reference point (r = 1 or 1.25), on each
+# other and outside the box; infinities make -inf ratios.
+_R2_COORD = st.one_of(
+    st.integers(-4, 8).map(lambda k: k / 4.0),
+    st.floats(-1.0, 2.0),
+    st.sampled_from([np.inf, -np.inf]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_objective_major_r2_equals_point_major_layout(data):
+    m = data.draw(st.integers(2, 4))
+    pts = data.draw(st.integers(1, 24).flatmap(
+        lambda n: arrays(float, (n, m), elements=_R2_COORD)))
+    if data.draw(st.booleans()):
+        pts = np.concatenate([pts, pts[: len(pts) // 2 + 1]])  # duplicate rows
+    dirs = das_dennis(m, data.draw(st.integers(1, 8)))
+    r = np.full(m, data.draw(st.sampled_from([1.0, 1.1, 1.25])))
+    approx, subgrad, loss, grad = point_major_r2(pts, r, dirs)
+    assert repr(r2_hv_approx(pts, r, dirs)) == repr(approx)
+    assert np.array_equal(r2_hv_subgradient(pts, r, dirs), subgrad, equal_nan=True)
+    got_loss, got_grad = _hv_loss(pts, r, dirs, batch_as_set=False)
+    assert repr(got_loss) == repr(loss)
+    assert np.array_equal(got_grad, grad, equal_nan=True)

@@ -193,6 +193,6 @@ class TestCheckpoint:
         assert loaded_state.learning_rate == state.learning_rate
         for a, b in zip(params.weights, loaded_params.weights):
             np.testing.assert_array_equal(a, b)
-        for a, b in zip(state.v_weights, loaded_state.v_weights):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(state.m, loaded_state.m)
+        np.testing.assert_array_equal(state.v, loaded_state.v)
         np.testing.assert_array_equal(params.input_offset, loaded_params.input_offset)

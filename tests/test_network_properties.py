@@ -1,0 +1,171 @@
+"""Property tests of the flat-vector Adam update: several steps against a
+per-layer Adam kept here as the oracle, the layer named by a non-finite
+gradient, exact checkpoint round-trips of the flat optimizer state, and
+copies whose layers stay views of their own vector."""
+
+import copy
+import math
+import pickle
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from pslearn import network as net
+from pslearn.problems import get_problem, pareto_front
+from pslearn.trainer import TrainConfig, TrainingDiverged, _train_loop
+
+# Zeros and repeated values alongside general floats.
+_GRAD = st.one_of(st.sampled_from([0.0, -1.0, 1e-3]), st.floats(-1e3, 1e3))
+
+
+def per_layer_adam(weights, biases, grads, state):
+    """Adam layer by layer on lists of arrays, as the package did it before."""
+    (grad_w, grad_b), (m_w, v_w, m_b, v_b, t) = grads, state
+    t += 1
+    b1, b2, lr, eps = 0.9, 0.999, 1e-3, 1e-8
+    corr1, corr2 = 1.0 - b1**t, 1.0 - b2**t
+
+    def update(theta, g, m, v):
+        m_new = b1 * m + (1.0 - b1) * g
+        v_new = b2 * v + (1.0 - b2) * g**2
+        return theta - lr * (m_new / corr1) / (np.sqrt(v_new / corr2) + eps), m_new, v_new
+
+    w_out, b_out, state_out = [], [], ([], [], [], [], t)
+    for layer in range(len(weights)):
+        w, mw, vw = update(weights[layer], grad_w[layer], m_w[layer], v_w[layer])
+        b, mb, vb = update(biases[layer], grad_b[layer], m_b[layer], v_b[layer])
+        w_out.append(w)
+        b_out.append(b)
+        for acc, value in zip(state_out, (mw, vw, mb, vb)):
+            acc.append(value)
+    return w_out, b_out, state_out
+
+
+def layer_sizes():
+    return st.lists(st.integers(1, 6), min_size=2, max_size=4).map(tuple)
+
+
+def draw_grads(data, params, elements=_GRAD):
+    return (
+        [data.draw(arrays(float, w.shape, elements=elements)) for w in params.weights],
+        [data.draw(arrays(float, b.shape, elements=elements)) for b in params.biases],
+    )
+
+
+def flat(arrays_w, arrays_b):
+    return np.concatenate([a.ravel() for pair in zip(arrays_w, arrays_b) for a in pair])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), sizes=layer_sizes(), seed=st.integers(0, 2**16))
+def test_flat_adam_steps_equal_per_layer_oracle(data, sizes, seed):
+    params = net.init_network(sizes, seed)
+    state = net.init_adam(params)
+    weights = [w.copy() for w in params.weights]
+    biases = [b.copy() for b in params.biases]
+    oracle_state = ([np.zeros_like(w) for w in weights], [np.zeros_like(w) for w in weights],
+                    [np.zeros_like(b) for b in biases], [np.zeros_like(b) for b in biases], 0)
+    for _ in range(data.draw(st.integers(1, 4))):
+        grads = draw_grads(data, params)
+        previous, before = params, params.flat.copy()
+        params, state = net.adam_step(params, grads, state)
+        assert np.array_equal(previous.flat, before)  # new objects, inputs untouched
+        weights, biases, oracle_state = per_layer_adam(weights, biases, grads, oracle_state)
+        m_w, v_w, m_b, v_b, t = oracle_state
+        assert np.array_equal(params.flat, flat(weights, biases))
+        assert np.array_equal(state.m, flat(m_w, m_b))
+        assert np.array_equal(state.v, flat(v_w, v_b))
+        assert state.t == t
+        for got, want in zip(params.weights + params.biases, weights + biases):
+            assert np.array_equal(got, want)
+
+
+def _poisoned(data, params):
+    """Finite gradients with one NaN or infinity, and the layer it is in."""
+    grads = draw_grads(data, params, elements=st.floats(-1.0, 1.0))
+    layer = data.draw(st.integers(0, params.n_layers() - 1))
+    target = grads[data.draw(st.integers(0, 1))][layer]
+    index = data.draw(st.integers(0, target.size - 1))
+    target.reshape(-1)[index] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return grads, layer
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), sizes=layer_sizes())
+def test_nonfinite_gradient_names_its_layer(data, sizes):
+    params = net.init_network(sizes, 0)
+    grads, layer = _poisoned(data, params)
+    with pytest.raises(ValueError, match=f"non-finite gradient at layer {layer}$") as err:
+        net.adam_step(params, grads, net.init_adam(params))
+    assert isinstance(err.value, net.NonFiniteGradient)
+    assert err.value.layer == layer
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), iteration=st.integers(1, 3))
+def test_nonfinite_gradient_in_any_layer_stops_training(data, iteration):
+    cfg = TrainConfig(problem="zdt3", algorithm="gpsl-g", iterations=4, batch_size=4,
+                      eval_interval=4, eval_samples=16, directions_h=4, hidden_sizes=(5, 3))
+    problem = get_problem("zdt3")
+    calls = []
+
+    def batch_loss(params, latents, extremes):
+        calls.append(None)
+        grads = ([np.zeros_like(w) for w in params.weights],
+                 [np.zeros_like(b) for b in params.biases])
+        if len(calls) == iteration + 1:  # the first call is the row-0 probe
+            grads, _ = _poisoned(data, params)
+        return 0.5, grads, np.zeros((len(latents), problem.m))
+
+    with pytest.raises(TrainingDiverged) as err:
+        _train_loop(cfg, problem, pareto_front(problem, 50), batch_loss)
+    assert (err.value.iteration, err.value.cause) == (iteration, "gradient")
+    assert isinstance(err.value.__cause__, net.NonFiniteGradient)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), sizes=layer_sizes(), steps=st.integers(0, 3))
+def test_checkpoint_round_trip_is_exact(data, sizes, steps):
+    params = net.init_network(sizes, 1, input_offset=0.5, input_scale=2.0)
+    state = net.init_adam(params, learning_rate=5e-4, beta1=0.8)
+    for _ in range(steps):
+        params, state = net.adam_step(params, draw_grads(data, params), state)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt.npz"
+        net.save_checkpoint(path, params, state, {"train_seed": 1})
+        loaded, loaded_state, _ = net.load_checkpoint(path)
+        with np.load(path) as stored:
+            keys = set(stored.files)
+    per_layer = {f"{key}{i}" for i in range(len(sizes) - 1)
+                 for key in ("w", "b", "adam_mw", "adam_vw", "adam_mb", "adam_vb")}
+    assert keys == per_layer | {"input_offset", "input_scale", "meta"}
+    assert loaded.layer_sizes == params.layer_sizes
+    for got, want in [(loaded.flat, params.flat), (loaded_state.m, state.m),
+                      (loaded_state.v, state.v), (loaded.input_offset, params.input_offset),
+                      (loaded.input_scale, params.input_scale)]:
+        assert np.array_equal(got, want)
+    assert (loaded_state.t, loaded_state.learning_rate, loaded_state.beta1,
+            loaded_state.beta2, loaded_state.eps) == (
+        state.t, state.learning_rate, state.beta1, state.beta2, state.eps)
+    # The loaded layers are views of the loaded vector.
+    loaded.weights[0][0, 0] = math.pi
+    assert loaded.flat[0] == math.pi
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p)),
+                                   net.NetworkParams.copy])
+def test_copies_keep_their_layers_views_of_their_own_vector(clone):
+    params = net.init_network((3, 4, 2), 0, input_offset=1.0)
+    twin = clone(params)
+    assert np.array_equal(twin.flat, params.flat) and twin.flat is not params.flat
+    twin.biases[-1][1] = math.pi
+    assert twin.flat[-1] == math.pi and params.flat[-1] != math.pi
+    np.testing.assert_array_equal(twin.input_offset, params.input_offset)

@@ -127,6 +127,18 @@ class TestCosmos:
             fd = central_difference_gradient(lambda x: cosmos(x, p, gamma=1.0)[0], f)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
+    @pytest.mark.parametrize("f", [[0.0, 1.25e-134], [3e-120, 1e-125, 4e-121]])
+    def test_gradient_finite_where_norm_cubed_underflows(self, f):
+        # |f| > 0 but |f|^3 == 0. The cosine's gradient is homogeneous of
+        # degree -1 in f, so it equals the gradient at s * f times s.
+        f = np.array(f)
+        p = np.full(f.size, 0.25)
+        scale = 1e110
+        _, grad = cosmos(f, p, gamma=1.0)
+        _, grad_scaled = cosmos(scale * f, p, gamma=1.0)
+        assert np.all(np.isfinite(grad))
+        np.testing.assert_allclose((p - grad) / scale, p - grad_scaled, rtol=1e-12)
+
 
 class TestHvScalarization:
     def test_diagonal_projection(self):

@@ -1,7 +1,8 @@
 """The benchmark's per-layer tracer (`benchmarks/spans.py`, imported
 read-only) against the package: every name it wraps must exist, or
 `benchmarks/run.py --trace 1` fails, and the problem and loss layers must
-be called once per batch, not once per sample."""
+be called once per batch, not once per sample; a GPSL batch makes one R2
+approximation and one R2 subgradient call."""
 
 import importlib.util
 from pathlib import Path
@@ -39,3 +40,19 @@ def test_one_jacobian_and_scalarization_call_per_batch(spans, algorithm, loss_ca
     batches = cfg.iterations + 1  # the row-0 loss probe is a batch too
     assert tracer.calls["problems.jacobian"] == batches
     assert tracer.calls["scalarization"] == loss_calls_per_batch * batches
+
+
+def test_two_r2_calls_per_gpsl_batch(spans):
+    # One approximation and one subgradient call, each through the names the
+    # tracer wraps: a fused call that bypassed them would zero `hv.r2.*`.
+    cfg = TrainConfig(problem="zdt3", algorithm="gpsl-g", iterations=5, batch_size=8,
+                      eval_interval=5, eval_samples=32, directions_h=5, hidden_sizes=(8,))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        train(cfg)
+    finally:
+        tracer.uninstall()
+    batches = cfg.iterations + 1
+    assert tracer.calls["hv.r2"] == 2 * batches
+    assert tracer.counts["hv.r2.points_in"] == cfg.batch_size * batches
