@@ -38,7 +38,6 @@ from .problems import (
 )
 from .sampling import (
     DirectionSet,
-    LatentBatch,
     das_dennis,
     default_divisions,
     r2_constant,

@@ -49,7 +49,6 @@ CONFIG_KEYS = {
     "iterations": int,
     "batch_size": int,
     "latent_dim": int,
-    "seed": int,
     "learning_rate": float,
     "beta1": float,
     "beta2": float,

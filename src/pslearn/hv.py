@@ -204,15 +204,14 @@ def _hv_wfg(pts: np.ndarray, r: np.ndarray) -> float:
     return total
 
 
-def exact_hv(points, ref, method: str = "auto") -> float:
+def exact_hv(points, ref) -> float:
     """Exact hypervolume of ``points`` bounded by the reference point ``ref``.
 
     Points not strictly dominating the reference point are dropped (their
     count is logged at debug level). An empty effective set has volume 0.
 
-    ``method`` selects the algorithm: ``"auto"`` uses a sorted sweep for m=2,
-    a staircase sweep for m=3 and the recursive exclusive-volume algorithm
-    otherwise; ``"wfg"`` forces the recursive algorithm for any m >= 2.
+    The algorithm follows m: a sorted sweep for m=2, a staircase sweep for
+    m=3 and the recursive exclusive-volume algorithm otherwise.
     """
     pts = _as_points(points)
     r = np.asarray(ref, dtype=float).reshape(-1)
@@ -231,10 +230,6 @@ def exact_hv(points, ref, method: str = "auto") -> float:
         return 0.0
     pts = nondominated_filter(pts)
     m = r.size
-    if method == "wfg":
-        return _hv_wfg(pts, r)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}, expected 'auto' or 'wfg'")
     if m == 1:
         return float(r[0] - pts[:, 0].min())
     if m == 2:

@@ -63,7 +63,6 @@ class NetworkParams:
     flat: np.ndarray
     input_offset: np.ndarray
     input_scale: np.ndarray
-    activation: str = "relu"
     weights: list[np.ndarray] = field(init=False, repr=False)
     biases: list[np.ndarray] = field(init=False, repr=False)
 
@@ -81,7 +80,7 @@ class NetworkParams:
         # Pickle and deepcopy rebuild through __init__, so that the layer
         # views share the new vector instead of becoming copies of their own.
         return type(self), (self.layer_sizes, self.flat, self.input_offset,
-                            self.input_scale, self.activation)
+                            self.input_scale)
 
     def n_layers(self) -> int:
         return len(self.weights)
@@ -299,7 +298,7 @@ def save_checkpoint(path, params: NetworkParams, state: AdamState, seeds: dict) 
     arrays["input_scale"] = params.input_scale
     meta = {
         "layer_sizes": list(params.layer_sizes),
-        "activation": params.activation,
+        "activation": "relu",
         "adam": {
             "t": state.t,
             "learning_rate": state.learning_rate,
@@ -320,6 +319,9 @@ def load_checkpoint(path):
     """Inverse of :func:`save_checkpoint`; returns (params, adam_state, seeds)."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+        if meta["activation"] != "relu":
+            raise ValueError(f"{path}: activation {meta['activation']!r} is not supported; "
+                             "the model is a ReLU network")
         sizes = tuple(meta["layer_sizes"])
         layers = range(len(sizes) - 1)
 
@@ -332,7 +334,6 @@ def load_checkpoint(path):
             flat=flat("w", "b"),
             input_offset=data["input_offset"],
             input_scale=data["input_scale"],
-            activation=meta["activation"],
         )
         adam_meta = meta["adam"]
         state = AdamState(

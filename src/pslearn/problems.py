@@ -403,9 +403,9 @@ def _brake_jac(xs: np.ndarray) -> np.ndarray:
 _REGISTRY: dict[str, Problem] = {}
 
 
-def register_problem(problem: Problem, replace: bool = False) -> None:
+def register_problem(problem: Problem) -> None:
     """Add a problem to the registry (e.g. a user-supplied engineering model)."""
-    if problem.id in _REGISTRY and not replace:
+    if problem.id in _REGISTRY:
         raise ValueError(f"problem {problem.id!r} already registered")
     _REGISTRY[problem.id] = problem
 

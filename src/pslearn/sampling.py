@@ -1,7 +1,7 @@
 """Latent-space samplers and direction-set construction.
 
-The samplers produce batches from the initial distribution that the
-transformation model is trained on: an isotropic Gaussian around a
+The samplers return ``(n, k)`` arrays drawn from the initial distribution
+that the transformation model is trained on: an isotropic Gaussian around a
 configurable center, a Latin hypercube design over a box, or a symmetric
 Dirichlet on the simplex. All of them are deterministic functions of their
 seed (an int, or an already-constructed ``numpy.random.Generator`` whose
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "LatentBatch",
     "DirectionSet",
     "sample_gaussian",
     "sample_lhs",
@@ -34,18 +33,6 @@ __all__ = [
 # before normalization so every direction stays strictly positive (the
 # hypervolume projection divides by each component).
 ZERO_CLAMP = 1e-6
-
-
-@dataclass(frozen=True)
-class LatentBatch:
-    """A batch of latent samples plus the tag of the distribution drawn from."""
-
-    samples: np.ndarray  # (n, k)
-    distribution: str  # "gaussian" | "lhs" | "dirichlet"
-
-    def __post_init__(self):
-        if self.samples.ndim != 2:
-            raise ValueError("samples must be a 2-D (n, k) array")
 
 
 @dataclass(frozen=True)
@@ -78,16 +65,15 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def sample_gaussian(k: int, center, n: int, seed) -> LatentBatch:
+def sample_gaussian(k: int, center, n: int, seed) -> np.ndarray:
     """Draw ``n`` points from an isotropic unit-variance Gaussian at ``center``."""
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     center = np.broadcast_to(np.asarray(center, dtype=float), (k,))
-    samples = _rng(seed).standard_normal((n, k)) + center
-    return LatentBatch(samples=samples, distribution="gaussian")
+    return _rng(seed).standard_normal((n, k)) + center
 
 
-def sample_lhs(k: int, lb, ub, n: int, seed) -> LatentBatch:
+def sample_lhs(k: int, lb, ub, n: int, seed) -> np.ndarray:
     """Latin hypercube design over the box ``[lb, ub]^k``.
 
     Each coordinate gets exactly one sample per equal-width stratum; stratum
@@ -107,17 +93,16 @@ def sample_lhs(k: int, lb, ub, n: int, seed) -> LatentBatch:
         strata = rng.permutation(n)
         offsets = rng.random(n)
         samples[:, j] = lb[j] + (strata + offsets) / n * (ub[j] - lb[j])
-    return LatentBatch(samples=samples, distribution="lhs")
+    return samples
 
 
-def sample_dirichlet(m: int, alpha: float, n: int, seed) -> LatentBatch:
+def sample_dirichlet(m: int, alpha: float, n: int, seed) -> np.ndarray:
     """Draw ``n`` points from the symmetric Dirichlet(alpha) on the simplex."""
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     if alpha <= 0.0:
         raise ValueError(f"need alpha > 0, got {alpha}")
-    samples = _rng(seed).dirichlet(np.full(m, float(alpha)), size=n)
-    return LatentBatch(samples=samples, distribution="dirichlet")
+    return _rng(seed).dirichlet(np.full(m, float(alpha)), size=n)
 
 
 def r2_constant(m: int, n_directions: int) -> float:

@@ -30,18 +30,13 @@ PREFERENCE_CLAMP = 1e-6
 
 @dataclass
 class IdealPoint:
-    """Running componentwise minimum of observed objective vectors.
-
-    ``epsilon`` is the small positive shift subtracted from the minimum in
-    the Tchebycheff-style losses.
+    """Ideal point ``z`` of the Tchebycheff-style losses, the componentwise
+    minimum of the objectives, and the small positive shift ``epsilon``
+    subtracted from it.
     """
 
     z: np.ndarray
     epsilon: float = 0.1
-
-    def update(self, objectives) -> None:
-        pts = np.atleast_2d(np.asarray(objectives, dtype=float))
-        self.z = np.minimum(self.z, pts.min(axis=0))
 
 
 def _check_dims(f: np.ndarray, p: np.ndarray) -> None:

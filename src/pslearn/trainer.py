@@ -1,6 +1,7 @@
 """Training loop and model evaluation.
 
-One loop trains every algorithm; only the batch loss differs:
+One loop and one batch loss train every algorithm; only the loss on the
+normalized batch differs:
 
 * ``gpsl-g`` / ``gpsl-l`` / ``gpsl-d`` train the transformation model by
   maximizing the direction-decomposed hypervolume approximation of the batch
@@ -9,13 +10,13 @@ One loop trains every algorithm; only the batch loss differs:
   classic preference-conditioned model: the latent input is a Dirichlet(1)
   preference vector and the loss is the per-sample scalarization.
 
-Each batch loss works on the whole batch at once: one problem evaluation,
+The batch loss works on the whole batch at once: one problem evaluation,
 one loss call and one stacked Jacobian chain per batch. Objectives are
 min-max normalized during training with running extremes updated from each
 batch (the reference front is never consulted while training); evaluation
-normalizes with the reference front's extremes so the metric is identical
-for every algorithm. Holding the seed fixed, the whole pipeline is
-bit-reproducible.
+normalizes with the reference front's extremes, through the same
+normalizer, so the metric is identical for every algorithm. Holding the
+seed fixed, the whole pipeline is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -169,6 +170,11 @@ class TrainingDiverged(RuntimeError):
         self.cause = cause  # "loss" or "gradient"
         self.params = params
 
+    def __reduce__(self):
+        # The default rebuilds from `args`, the message alone, which __init__
+        # cannot take; a worker process's divergence then breaks its pool.
+        return type(self), (self.seed, self.iteration, self.cause, self.params)
+
 
 CSV_COLUMNS = ("iteration", "loss", "hv_learned", "hv_true", "log_hv_difference")
 
@@ -213,7 +219,7 @@ def latent_sampler(config: TrainConfig, problem: Problem):
         center = (problem.lb + problem.ub) / 2.0 if k == problem.d else np.zeros(k)
 
         def draw(n, seed):
-            return sample_gaussian(k, center, n, seed).samples
+            return sample_gaussian(k, center, n, seed)
 
         return draw, center, np.ones(k)
     if config.algorithm == "gpsl-l":
@@ -223,20 +229,21 @@ def latent_sampler(config: TrainConfig, problem: Problem):
             lo, hi = np.zeros(k), np.ones(k)
 
         def draw(n, seed):
-            return sample_lhs(k, lo, hi, n, seed).samples
+            return sample_lhs(k, lo, hi, n, seed)
 
         return draw, (lo + hi) / 2.0, np.maximum((hi - lo) / 2.0, MIN_RANGE)
     # Dirichlet input (gpsl-d and every preference-based algorithm).
     alpha = config.dirichlet_alpha if config.algorithm == "gpsl-d" else 1.0
 
     def draw(n, seed):
-        return sample_dirichlet(k, alpha, n, seed).samples
+        return sample_dirichlet(k, alpha, n, seed)
 
     return draw, np.zeros(k), np.ones(k)
 
 
 class _RunningExtremes:
-    """Componentwise running min/max of raw objective vectors."""
+    """Componentwise running min/max of raw objective vectors, and the
+    min-max normalization they define."""
 
     def __init__(self, m: int):
         self.low = np.full(m, np.inf)
@@ -296,24 +303,6 @@ def _hv_loss(y, r, dirs: DirectionSet, batch_as_set: bool):
     return _batch_mean(-values), -grad / n
 
 
-def _gpsl_batch_loss(params, latents, problem, dirs: DirectionSet, extremes,
-                     ref_offset: float, batch_as_set: bool):
-    """Loss, parameter gradients and raw objectives for one GPSL batch.
-
-    Updates ``extremes`` from the batch before normalizing; the loss and its
-    gradient come from :func:`_hv_loss` and flow back through the problem
-    Jacobian and the network.
-    """
-    xs, cache = net.forward(params, latents, problem.lb, problem.ub)
-    raw = problem.evaluate_batch(xs)
-    extremes.update(raw)
-    y = extremes.normalize(raw)
-    r = np.full(problem.m, ref_offset)
-    loss, d_loss_d_y = _hv_loss(y, r, dirs, batch_as_set)
-    grads = _chain_to_params(params, cache, problem, xs, d_loss_d_y / extremes.range)
-    return loss, grads, raw
-
-
 def _psl_hv(y, prefs, ideal, config):
     # Projected distance along the unit direction of the clamped preference,
     # maximized, so its negative is the loss.
@@ -337,22 +326,42 @@ _PREFERENCE_LOSSES = {
 }
 
 
-def _preference_batch_loss(params, prefs, problem, extremes, config: TrainConfig):
-    """Loss, parameter gradients and raw objectives for one preference batch.
+def _algorithm_loss(config: TrainConfig, problem: Problem):
+    """The loss of ``config.algorithm`` on a normalized batch.
 
-    The Tchebycheff losses shift from the running ideal point, the
-    componentwise minimum of every objective seen so far. That is
-    ``extremes.low``, so in normalized space the ideal point is the origin.
+    Returns ``loss(y, latents) -> (loss, dL/dy)``. GPSL scores the batch by
+    its negated hypervolume approximation; the preference algorithms take
+    the mean of their scalarization, with the latents as preferences. The
+    Tchebycheff losses shift from the running ideal point, the componentwise
+    minimum of every objective seen so far; that is the extremes' ``low``,
+    so in normalized space the ideal point is the origin.
     """
-    xs, cache = net.forward(params, prefs, problem.lb, problem.ub)
+    if config.algorithm in GPSL_ALGORITHMS:
+        dirs = das_dennis(problem.m, config.directions_h or default_divisions(problem.m))
+        r = np.full(problem.m, config.ref_offset)
+        return lambda y, latents: _hv_loss(y, r, dirs, config.hv_batch_as_set)
+    preference = _PREFERENCE_LOSSES[config.algorithm]
+    ideal = IdealPoint(z=np.zeros(problem.m), epsilon=config.tch_epsilon)
+
+    def loss(y, prefs):
+        values, grads = preference(y, prefs, ideal, config)
+        return _batch_mean(values), grads / len(values)
+
+    return loss
+
+
+def _batch_loss(params, latents, problem: Problem, extremes, loss):
+    """Loss and parameter gradients of one batch.
+
+    Updates ``extremes`` from the batch before normalizing; the gradient of
+    ``loss`` (see :func:`_algorithm_loss`) flows back through the
+    normalization, the problem Jacobian and the network.
+    """
+    xs, cache = net.forward(params, latents, problem.lb, problem.ub)
     raw = problem.evaluate_batch(xs)
     extremes.update(raw)
-    y = extremes.normalize(raw)
-    ideal = IdealPoint(z=np.zeros(problem.m), epsilon=config.tch_epsilon)
-    values, grads = _PREFERENCE_LOSSES[config.algorithm](y, prefs, ideal, config)
-    d_loss_d_raw = grads / y.shape[0] / extremes.range
-    grads = _chain_to_params(params, cache, problem, xs, d_loss_d_raw)
-    return _batch_mean(values), grads, raw
+    value, d_loss_d_y = loss(extremes.normalize(raw), latents)
+    return value, _chain_to_params(params, cache, problem, xs, d_loss_d_y / extremes.range)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +369,10 @@ def _preference_batch_loss(params, prefs, problem, extremes, config: TrainConfig
 
 
 def _normalized_front(front: ParetoFrontData, ref_offset: float):
-    f_min = front.points.min(axis=0)
-    f_range = np.maximum(front.points.max(axis=0) - f_min, MIN_RANGE)
-    front_norm = (front.points - f_min) / f_range
+    extremes = _RunningExtremes(front.m)
+    extremes.update(front.points)
     r = np.full(front.m, ref_offset)
-    hv_true = exact_hv(front_norm, r)
-    return f_min, f_range, r, hv_true
+    return extremes, r, exact_hv(extremes.normalize(front.points), r)
 
 
 def _hv_report(hv_true: float, hv_learned: float) -> HvReport:
@@ -383,9 +390,9 @@ def _hv_report(hv_true: float, hv_learned: float) -> HvReport:
 def _score(params, problem: Problem, sampler, n_eval: int, seed, normalized) -> HvReport:
     # The one evaluation path: latents -> model -> objectives normalized by
     # the front's extremes -> exact hypervolume, which does the filtering.
-    f_min, f_range, r, hv_true = normalized
+    extremes, r, hv_true = normalized
     xs, _ = net.forward(params, sampler(n_eval, seed), problem.lb, problem.ub)
-    y = (problem.evaluate_batch(xs) - f_min) / f_range
+    y = extremes.normalize(problem.evaluate_batch(xs))
     return _hv_report(hv_true, exact_hv(y, r))
 
 
@@ -459,14 +466,14 @@ def _train_loop(config: TrainConfig, problem: Problem, front: ParetoFrontData,
     # batch with throwaway extremes so neither the training extremes nor the
     # rng stream are touched.
     probe_latents = draw(config.batch_size, config.eval_seed)
-    probe_loss, _, _ = batch_loss(params, probe_latents, _RunningExtremes(problem.m))
+    probe_loss, _ = batch_loss(params, probe_latents, _RunningExtremes(problem.m))
     evaluate(0, probe_loss)
 
     extremes = _RunningExtremes(problem.m)
     loss = math.nan
     for iteration in range(1, config.iterations + 1):
         latents = draw(config.batch_size, rng)
-        loss, grads, _ = batch_loss(params, latents, extremes)
+        loss, grads = batch_loss(params, latents, extremes)
         if not math.isfinite(loss):
             raise TrainingDiverged(config.seed, iteration, "loss", params)
         try:
@@ -487,15 +494,7 @@ def train(config: TrainConfig, front: ParetoFrontData | None = None) -> TrainRes
     """
     problem = get_problem(config.problem)
     front = _resolve_front(problem, front)
-    if config.algorithm in GPSL_ALGORITHMS:
-        dirs = das_dennis(problem.m, config.directions_h or default_divisions(problem.m))
-
-        def batch_loss(params, latents, extremes):
-            return _gpsl_batch_loss(params, latents, problem, dirs, extremes,
-                                    config.ref_offset, config.hv_batch_as_set)
-    else:
-
-        def batch_loss(params, latents, extremes):
-            return _preference_batch_loss(params, latents, problem, extremes, config)
-
-    return _train_loop(config, problem, front, batch_loss)
+    loss = _algorithm_loss(config, problem)
+    return _train_loop(config, problem, front,
+                       lambda params, latents, extremes:
+                       _batch_loss(params, latents, problem, extremes, loss))

@@ -22,7 +22,7 @@ from pslearn.scalarization import (
     tchebycheff,
     weighted_sum,
 )
-from pslearn.trainer import TrainConfig, train, _gpsl_batch_loss, _RunningExtremes
+from pslearn.trainer import TrainConfig, train, _algorithm_loss, _batch_loss, _RunningExtremes
 
 from conftest import central_difference_gradient, monte_carlo_hv
 
@@ -173,7 +173,9 @@ class TestCriterion1Gradients:
 
     def test_full_network_chain(self):
         problem = get_problem("zdt3")
-        dirs = das_dennis(2, 5)
+        hv_loss = _algorithm_loss(
+            TrainConfig(problem="zdt3", algorithm="gpsl-g", directions_h=5), problem
+        )
         rng = np.random.default_rng(31)
         worst = 0.0
         for probe in range(20):
@@ -193,10 +195,10 @@ class TestCriterion1Gradients:
                     for arr in arrs:
                         arr[:] = theta[pos : pos + arr.size].reshape(arr.shape)
                         pos += arr.size
-                loss, _, _ = _gpsl_batch_loss(trial, latents, problem, dirs, wide(), 1.1, True)
+                loss, _ = _batch_loss(trial, latents, problem, wide(), hv_loss)
                 return loss
 
-            _, grads, _ = _gpsl_batch_loss(params, latents, problem, dirs, wide(), 1.1, True)
+            _, grads = _batch_loss(params, latents, problem, wide(), hv_loss)
             analytic = np.concatenate(
                 [g.ravel() for g in grads[0]] + [g.ravel() for g in grads[1]]
             )

@@ -1,6 +1,7 @@
 """Property tests of the batch-native loss layer: each batched scalarization
-against its own one-row calls, and the closed-form per-sample hypervolume
-loss against the loop over singleton sets that it replaced."""
+against its own one-row calls, the closed-form per-sample hypervolume loss
+against the loop over singleton sets that it replaced, and the evaluation's
+front normalizer against the inline min-max arithmetic it replaced."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pslearn.hv import r2_hv_approx, r2_hv_subgradient
+from pslearn.hv import exact_hv, r2_hv_approx, r2_hv_subgradient
+from pslearn.problems import ParetoFrontData
 from pslearn.sampling import das_dennis
 from pslearn.scalarization import (
     IdealPoint,
@@ -21,7 +23,7 @@ from pslearn.scalarization import (
     tchebycheff,
     weighted_sum,
 )
-from pslearn.trainer import _hv_loss
+from pslearn.trainer import MIN_RANGE, _hv_loss, _normalized_front
 
 # Quarter steps force ties at the max/min operators and zero rows; the
 # floats cover the general case.
@@ -85,3 +87,24 @@ def test_per_sample_hv_loss_equals_singleton_loop(data):
     want_loss, want_grad = singleton_loop(y, r, dirs)
     assert repr(loss) == repr(want_loss)  # the bits, the sign of zero included
     assert np.array_equal(grad, want_grad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_front_normalizer_equals_inline_min_max(data):
+    n = data.draw(st.integers(1, 8))  # single-row fronts included
+    m = data.draw(st.integers(2, 4))
+    pts = data.draw(arrays(float, (n, m), elements=st.floats(-1e3, 1e3)))
+    # A column that is constant, or spans less than MIN_RANGE.
+    col = data.draw(st.integers(0, m - 1))
+    steps = data.draw(arrays(float, (n,), elements=st.sampled_from([0.0, 1e-13, 3e-13])))
+    if data.draw(st.booleans()):
+        pts[:, col] = pts[0, col] + steps
+    outputs = data.draw(arrays(float, (data.draw(st.integers(1, 8)), m),
+                               elements=st.floats(-2e3, 2e3)))
+    extremes, r, hv_true = _normalized_front(ParetoFrontData(points=pts, source="file"), 1.1)
+    f_min = pts.min(axis=0)
+    f_range = np.maximum(pts.max(axis=0) - f_min, MIN_RANGE)
+    for y in (pts, outputs):
+        assert np.array_equal(extremes.normalize(y), (y - f_min) / f_range)
+    assert repr(hv_true) == repr(exact_hv((pts - f_min) / f_range, r))

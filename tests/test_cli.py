@@ -1,6 +1,7 @@
 """CLI tests: file contracts, determinism of emitted CSVs, config parsing,
 grid row counts, ablation arms, and checkpoint re-evaluation."""
 
+import dataclasses
 import json
 import os
 import re
@@ -9,7 +10,8 @@ import sys
 
 import pytest
 
-from pslearn.cli import _parse_config_file, main
+from pslearn.cli import CONFIG_KEYS, _base_kwargs, _parse_config_file, main
+from pslearn.trainer import TrainConfig
 
 FAST = [
     "--iters", "12",
@@ -79,6 +81,17 @@ class TestRun:
               "--out", str(out), *FAST])
         first = (out / "zdt3_gpsl-g_seed0.csv").read_text().splitlines()[0]
         assert first == "iteration,loss,hv_learned,hv_true,log_hv_difference"
+
+    def test_diverging_seed_in_a_worker_is_an_error_line(self, tmp_path, capsys):
+        # The worker's TrainingDiverged must survive the trip back through
+        # the pool, not break it.
+        cfg = tmp_path / "lr.cfg"
+        cfg.write_text("learning_rate = 0.1\n")
+        rc = main(["run", "--problem", "zdt3", "--algo", "gpsl-g", "--seeds", "2",
+                   "--workers", "2", "--iters", "40", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed 0: non-finite gradient at iteration 16\n"
 
 
 class TestCompare:
@@ -221,6 +234,22 @@ class TestConfigFile:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"hv_batch_as_set = {text}\n")
         assert _parse_config_file(cfg)["hv_batch_as_set"] is expected
+
+    def test_seed_key_rejected(self, tmp_path):
+        # Runs train seeds 0..seeds-1, so a file `seed` would be ignored.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("problem = zdt3\nseed = 5\n")
+        with pytest.raises(ValueError, match=re.escape(f"{cfg}:2: unknown key 'seed'")):
+            _parse_config_file(cfg)
+
+    def test_every_key_reaches_a_run(self):
+        # A key is read by the CLI itself or passed on to TrainConfig;
+        # any other key would parse and then be silently dropped.
+        cli_keys = {"problem", "algorithm", "seeds", "front", "out"}
+        fields = {f.name for f in dataclasses.fields(TrainConfig)}
+        passed = _base_kwargs({key: key for key in CONFIG_KEYS})
+        for key in CONFIG_KEYS.keys() - cli_keys:
+            assert key in fields and passed.get(key) == key, key
 
     def test_comments_allowed(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -1,6 +1,8 @@
 """Transformation-model tests: init, forward squashing, reverse-mode
 gradients against finite differences, Adam, and checkpoint round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -196,3 +198,19 @@ class TestCheckpoint:
         np.testing.assert_array_equal(state.m, loaded_state.m)
         np.testing.assert_array_equal(state.v, loaded_state.v)
         np.testing.assert_array_equal(params.input_offset, loaded_params.input_offset)
+
+    def test_other_activation_rejected(self, tmp_path):
+        # The model is always ReLU; a checkpoint saying otherwise is not ours.
+        params = net.init_network((2, 3, 2), seed=0)
+        path = tmp_path / "model.ckpt.npz"
+        net.save_checkpoint(path, params, net.init_adam(params), {})
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        assert meta["activation"] == "relu"
+        meta["activation"] = "tanh"
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValueError, match="'tanh' is not supported"):
+            net.load_checkpoint(path)

@@ -19,17 +19,17 @@ from pslearn.sampling import (
 class TestGaussian:
     def test_mean_matches_center(self):
         batch = sample_gaussian(2, (0.0, 0.0), 10_000, seed=5)
-        assert np.all(np.abs(batch.samples.mean(axis=0)) < 0.05)
+        assert np.all(np.abs(batch.mean(axis=0)) < 0.05)
 
     def test_deterministic(self):
         a = sample_gaussian(4, np.zeros(4), 16, seed=11)
         b = sample_gaussian(4, np.zeros(4), 16, seed=11)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        np.testing.assert_array_equal(a, b)
 
     def test_scalar_dimension(self):
         batch = sample_gaussian(1, (5.0,), 3, seed=0)
-        assert batch.samples.shape == (3, 1)
-        assert np.all(np.isfinite(batch.samples))
+        assert batch.shape == (3, 1)
+        assert np.all(np.isfinite(batch))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -37,32 +37,29 @@ class TestGaussian:
         with pytest.raises(ValueError):
             sample_gaussian(2, (0, 0), 0, seed=0)
 
-    def test_tag(self):
-        assert sample_gaussian(2, (0, 0), 2, seed=0).distribution == "gaussian"
-
 
 class TestLhs:
     def test_one_sample_per_stratum_1d(self):
         batch = sample_lhs(1, 0.0, 1.0, 4, seed=3)
-        strata = np.floor(batch.samples[:, 0] * 4).astype(int)
+        strata = np.floor(batch[:, 0] * 4).astype(int)
         assert sorted(strata) == [0, 1, 2, 3]
 
     def test_every_projection_stratified(self):
         n = 32
         batch = sample_lhs(3, np.zeros(3), np.ones(3), n, seed=7)
         for j in range(3):
-            strata = np.floor(batch.samples[:, j] * n).astype(int)
+            strata = np.floor(batch[:, j] * n).astype(int)
             assert sorted(strata) == list(range(n))
 
     def test_deterministic(self):
         a = sample_lhs(2, (0, -1), (1, 1), 8, seed=2)
         b = sample_lhs(2, (0, -1), (1, 1), 8, seed=2)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        np.testing.assert_array_equal(a, b)
 
     def test_respects_box(self):
         batch = sample_lhs(2, (-2.0, 5.0), (-1.0, 9.0), 50, seed=1)
-        assert np.all(batch.samples >= [-2.0, 5.0])
-        assert np.all(batch.samples <= [-1.0, 9.0])
+        assert np.all(batch >= [-2.0, 5.0])
+        assert np.all(batch <= [-1.0, 9.0])
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
@@ -72,15 +69,15 @@ class TestLhs:
 class TestDirichlet:
     def test_simplex_membership(self):
         batch = sample_dirichlet(3, 1.0, 200, seed=9)
-        assert np.all(batch.samples >= 0.0)
-        np.testing.assert_allclose(batch.samples.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(batch >= 0.0)
+        np.testing.assert_allclose(batch.sum(axis=1), 1.0, atol=1e-9)
 
     def test_uniform_mean(self):
         batch = sample_dirichlet(2, 1.0, 10_000, seed=4)
-        assert abs(batch.samples[:, 0].mean() - 0.5) < 0.02
+        assert abs(batch[:, 0].mean() - 0.5) < 0.02
 
     def test_shapes(self):
-        assert sample_dirichlet(3, 1.0, 5, seed=0).samples.shape == (5, 3)
+        assert sample_dirichlet(3, 1.0, 5, seed=0).shape == (5, 3)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
@@ -89,7 +86,7 @@ class TestDirichlet:
     def test_deterministic(self):
         a = sample_dirichlet(4, 2.0, 6, seed=8)
         b = sample_dirichlet(4, 2.0, 6, seed=8)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestDasDennis:

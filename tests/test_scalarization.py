@@ -181,19 +181,3 @@ class TestHvScalarization:
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-9)
             checked += 1
 
-
-class TestIdealPoint:
-    def test_running_minimum(self):
-        ideal = IdealPoint(z=np.array([np.inf, np.inf]))
-        ideal.update(np.array([[2.0, 3.0], [1.0, 5.0]]))
-        np.testing.assert_allclose(ideal.z, [1.0, 3.0])
-        ideal.update(np.array([4.0, 0.5]))
-        np.testing.assert_allclose(ideal.z, [1.0, 0.5])
-
-    def test_never_increases(self, rng):
-        ideal = IdealPoint(z=np.full(3, np.inf))
-        prev = ideal.z.copy()
-        for _ in range(50):
-            ideal.update(rng.standard_normal((8, 3)))
-            assert np.all(ideal.z <= prev)
-            prev = ideal.z.copy()

@@ -1,8 +1,9 @@
-"""Trainer tests: loop contracts, determinism, evaluation, the Monte Carlo
-estimate switch, and full-chain gradients (loss -> objectives -> network)
-against finite differences with frozen normalization state."""
+"""Trainer tests: loop contracts, determinism, evaluation, and full-chain
+gradients (loss -> objectives -> network) against finite differences with
+frozen normalization state."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,15 +11,14 @@ import pytest
 import pslearn.network as net
 
 from pslearn.problems import Problem, ParetoFrontData, get_problem, pareto_front, register_problem
-from pslearn.sampling import das_dennis
 from pslearn.trainer import (
     ALGORITHMS,
     MetricsLog,
     MetricsRecord,
     TrainConfig,
     TrainingDiverged,
-    _gpsl_batch_loss,
-    _preference_batch_loss,
+    _algorithm_loss,
+    _batch_loss,
     _RunningExtremes,
     _train_loop,
     evaluate_model,
@@ -62,8 +62,6 @@ def unflatten_into(params, theta):
 # A smooth convex toy problem whose objectives share no minimizer except in
 # the degenerate variant used by the weighted-sum convergence test.
 def _register_toy(problem_id, shift):
-    if problem_id in map(str, ()):  # placeholder to keep signature obvious
-        return
     try:
         get_problem(problem_id)
         return
@@ -168,7 +166,7 @@ class TestTrainLoop:
                 [np.full_like(w, grad_fill) for w in params.weights],
                 [np.zeros_like(b) for b in params.biases],
             )
-            return loss, grads, np.zeros((len(latents), 2))
+            return loss, grads
 
         with pytest.raises(TrainingDiverged) as err:
             _train_loop(cfg, get_problem("zdt3"), pareto_front("zdt3", 200), bad_loss)
@@ -188,6 +186,15 @@ class TestTrainLoop:
         assert err.params is not None
         assert str(err) == "seed 0: non-finite gradient at iteration 1"
 
+    def test_diverged_survives_pickling(self):
+        # Worker processes send it back to the grid through a pickle.
+        original = self.diverge(0.5, math.inf)
+        err = pickle.loads(pickle.dumps(original))
+        assert isinstance(err, TrainingDiverged)
+        assert (err.seed, err.iteration, err.cause) == (0, 1, "gradient")
+        assert str(err) == str(original)
+        assert np.array_equal(err.params.flat, original.params.flat)
+
     def test_batch_of_one_makes_both_estimate_modes_agree(self):
         base = dict(problem="zdt3", iterations=6, batch_size=1, eval_interval=3,
                     eval_samples=32, directions_h=5, hidden_sizes=(8,), seed=7)
@@ -206,12 +213,13 @@ class TestTrainLoop:
         prob = get_problem("zdt3")
         cfg = TrainConfig(problem="zdt3", algorithm="psl-tch", **TINY)
         params = net.init_network((2, 8, 30), 0)
+        loss = _algorithm_loss(cfg, prob)
         ext = _RunningExtremes(2)
         rng = np.random.default_rng(0)
         prev = ext.low.copy()
         for _ in range(12):
             prefs = rng.dirichlet(np.ones(2), size=6)
-            _preference_batch_loss(params, prefs, prob, ext, cfg)
+            _batch_loss(params, prefs, prob, ext, loss)
             assert np.all(ext.low <= prev)
             prev = ext.low.copy()
         assert np.all(np.isfinite(ext.low))
@@ -324,7 +332,7 @@ class TestFullChainGradients:
 
     def test_gpsl_chain(self):
         prob = get_problem("zdt3")
-        dirs = das_dennis(2, 7)
+        loss = _algorithm_loss(TrainConfig(problem="zdt3", algorithm="gpsl-g", directions_h=7), prob)
         rng = np.random.default_rng(11)
         for probe in range(3):
             params = net.init_network((30, 6, 30), seed=200 + probe)
@@ -332,14 +340,9 @@ class TestFullChainGradients:
 
             def loss_of(theta):
                 trial = unflatten_into(params, theta)
-                loss, _, _ = _gpsl_batch_loss(
-                    trial, latents, prob, dirs, wide_extremes(2), 1.1, True
-                )
-                return loss
+                return _batch_loss(trial, latents, prob, wide_extremes(2), loss)[0]
 
-            _, grads, _ = _gpsl_batch_loss(
-                params, latents, prob, dirs, wide_extremes(2), 1.1, True
-            )
+            _, grads = _batch_loss(params, latents, prob, wide_extremes(2), loss)
             analytic = np.concatenate([g.ravel() for g in grads[0]] + [g.ravel() for g in grads[1]])
             fd = central_difference_gradient(loss_of, flatten_params(params), eps=1e-6)
             np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=1e-8)
@@ -347,15 +350,14 @@ class TestFullChainGradients:
     @pytest.mark.parametrize("kind", ["psl-ls", "psl-tch", "psl-mtch", "cosmos", "psl-hv"])
     def test_preference_chain(self, kind):
         prob = get_problem("zdt3")
-        cfg = TrainConfig(problem="zdt3", algorithm=kind)
+        loss = _algorithm_loss(TrainConfig(problem="zdt3", algorithm=kind), prob)
         rng = np.random.default_rng(13)
         params = net.init_network((2, 6, 30), seed=21)
         prefs = rng.dirichlet(np.ones(2), size=4)
 
         def run(theta):
             trial = unflatten_into(params, theta)
-            loss, grads, _ = _preference_batch_loss(trial, prefs, prob, wide_extremes(2), cfg)
-            return loss, grads
+            return _batch_loss(trial, prefs, prob, wide_extremes(2), loss)
 
         _, grads = run(flatten_params(params))
         analytic = np.concatenate([g.ravel() for g in grads[0]] + [g.ravel() for g in grads[1]])
