@@ -280,19 +280,25 @@ def r2_hv_subgradient(points, ref, dirs: DirectionSet) -> np.ndarray:
     """
     pts = _as_points(points)
     r = np.asarray(ref, dtype=float).reshape(-1)
-    m = r.size
     ratios = _ratio_tensor(pts, r, dirs)  # (m, n, D)
     inner = ratios.min(axis=0)  # (n, D)
     winner = inner.argmax(axis=0)  # lowest index on ties
     d_idx = np.arange(dirs.directions.shape[0])
     s = inner[winner, d_idx]
-    coord = ratios[:, winner, d_idx].argmin(axis=0)  # lowest coordinate on ties
-    grad = np.zeros_like(pts)
     active = s > 0.0
-    if np.any(active):
-        lam = dirs.directions[d_idx[active], coord[active]]
-        contrib = dirs.c_m * m * s[active] ** (m - 1) * (-1.0 / lam)
-        np.add.at(grad, (winner[active], coord[active]), contrib)
+    return _r2_credit(ratios, winner[active], d_idx[active], s[active], dirs)
+
+
+def _r2_credit(ratios: np.ndarray, rows, d_idx, lengths, dirs: DirectionSet) -> np.ndarray:
+    """The (n, m) subgradient of ``c_m * sum(lengths**m)``, where ``lengths[i]``
+    is point ``rows[i]``'s length along direction ``d_idx[i]`` in the (m, n, D)
+    ``ratios``: each pair credits ``c_m m len^(m-1) (-1/lambda)`` at its inner
+    minimum's coordinate (lowest on ties), accumulated in pair order."""
+    m, n, _ = ratios.shape
+    coord = ratios[:, rows, d_idx].argmin(axis=0)
+    contrib = dirs.c_m * m * lengths ** (m - 1) * (-1.0 / dirs.directions[d_idx, coord])
+    grad = np.zeros((n, m))
+    np.add.at(grad, (rows, coord), contrib)
     return grad
 
 

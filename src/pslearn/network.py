@@ -2,6 +2,9 @@
 squashed into the decision-variable box, with hand-written reverse-mode
 gradients and an Adam optimizer.
 
+The model works on batches only: :func:`forward` maps (n, k) latent vectors
+to (n, d) decision vectors, and :func:`backward` takes the (n, d) gradient.
+
 The output layer applies ``x = lb + sigmoid(z) * (ub - lb)``, so every output
 lies strictly inside the bounds and no downstream clipping is ever needed.
 Latent inputs are standardised by a fixed affine transform stored with the
@@ -165,25 +168,23 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def forward(params: NetworkParams, v, lb, ub):
-    """Map latent vectors to decision vectors strictly inside (lb, ub).
+    """Map a batch of latent vectors, shape (n, k), to decision vectors
+    strictly inside (lb, ub), shape (n, d).
 
-    Accepts a single vector (shape (k,)) or a batch (shape (n, k)); a batch
-    forward equals n independent single forwards. Returns ``(x, cache)``
-    where the cache holds everything :func:`backward` needs.
+    Each output row depends only on its own input row. Returns
+    ``(x, cache)`` where the cache holds everything :func:`backward` needs.
     """
     v = np.asarray(v, dtype=float)
-    single = v.ndim == 1
-    batch = v[None, :] if single else v
-    if batch.ndim != 2 or batch.shape[1] != params.layer_sizes[0]:
+    if v.ndim != 2 or v.shape[1] != params.layer_sizes[0]:
         raise ValueError(
-            f"latent input has shape {v.shape}, expected (..., {params.layer_sizes[0]})"
+            f"latent input has shape {v.shape}, expected (n, {params.layer_sizes[0]})"
         )
-    if not np.all(np.isfinite(batch)):
+    if not np.all(np.isfinite(v)):
         raise ValueError("latent input contains non-finite values")
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
 
-    a = (batch - params.input_offset) / params.input_scale
+    a = (v - params.input_offset) / params.input_scale
     activations = [a]
     pre_acts = []
     n_layers = params.n_layers()
@@ -199,21 +200,18 @@ def forward(params: NetworkParams, v, lb, ub):
         "pre_acts": pre_acts,
         "sigmoid": sig,
         "span": ub - lb,
-        "single": single,
     }
-    return (x[0] if single else x), cache
+    return x, cache
 
 
 def backward(params: NetworkParams, cache, upstream):
     """Accumulate dL/d(theta) from dL/dx by reverse-mode differentiation.
 
-    ``upstream`` must match the shape of the forward output the cache came
-    from. Returns ``(grad_weights, grad_biases)`` shaped like the parameters.
-    The ReLU subgradient at 0 is taken as 0.
+    ``upstream`` must match the (n, d) shape of the forward output the cache
+    came from. Returns ``(grad_weights, grad_biases)`` shaped like the
+    parameters. The ReLU subgradient at 0 is taken as 0.
     """
     upstream = np.asarray(upstream, dtype=float)
-    if cache["single"]:
-        upstream = upstream[None, :]
     sig = cache["sigmoid"]
     if upstream.shape != sig.shape:
         raise ValueError(
@@ -316,33 +314,42 @@ def save_checkpoint(path, params: NetworkParams, state: AdamState, seeds: dict) 
 
 
 def load_checkpoint(path):
-    """Inverse of :func:`save_checkpoint`; returns (params, adam_state, seeds)."""
+    """Inverse of :func:`save_checkpoint`; returns (params, adam_state, seeds).
+
+    A file that :func:`save_checkpoint` did not write raises ``ValueError``
+    naming the path and the entry or ``meta`` key it lacks.
+    """
     with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        if meta["activation"] != "relu":
-            raise ValueError(f"{path}: activation {meta['activation']!r} is not supported; "
+        def entry(name):
+            if name not in data.files:
+                raise ValueError(f"{path}: not a pslearn checkpoint (no {name})")
+            return data[name]
+
+        raw_meta = bytes(entry("meta"))
+        try:
+            meta = json.loads(raw_meta.decode("utf-8"))
+            activation, seeds = meta["activation"], meta["seeds"]
+            sizes = tuple(meta["layer_sizes"])
+            adam = {key: meta["adam"][key]
+                    for key in ("t", "learning_rate", "beta1", "beta2", "eps")}
+        except KeyError as exc:
+            raise ValueError(f"{path}: not a pslearn checkpoint (no meta key {exc})") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: meta is not JSON ({exc})") from None
+        if activation != "relu":
+            raise ValueError(f"{path}: activation {activation!r} is not supported; "
                              "the model is a ReLU network")
-        sizes = tuple(meta["layer_sizes"])
         layers = range(len(sizes) - 1)
 
         def flat(w_key, b_key):
-            return _flatten([data[f"{w_key}{i}"] for i in layers],
-                            [data[f"{b_key}{i}"] for i in layers])
+            return _flatten([entry(f"{w_key}{i}") for i in layers],
+                            [entry(f"{b_key}{i}") for i in layers])
 
         params = NetworkParams(
             layer_sizes=sizes,
             flat=flat("w", "b"),
-            input_offset=data["input_offset"],
-            input_scale=data["input_scale"],
+            input_offset=entry("input_offset"),
+            input_scale=entry("input_scale"),
         )
-        adam_meta = meta["adam"]
-        state = AdamState(
-            m=flat("adam_mw", "adam_mb"),
-            v=flat("adam_vw", "adam_vb"),
-            t=adam_meta["t"],
-            learning_rate=adam_meta["learning_rate"],
-            beta1=adam_meta["beta1"],
-            beta2=adam_meta["beta2"],
-            eps=adam_meta["eps"],
-        )
-    return params, state, meta["seeds"]
+        state = AdamState(m=flat("adam_mw", "adam_mb"), v=flat("adam_vw", "adam_vb"), **adam)
+    return params, state, seeds

@@ -10,6 +10,10 @@ Implemented problems (all minimization):
   is the total constraint violation sum(max(0, violation_k)), whose
   subgradient at a constraint boundary is taken as 0.
 
+Problems work on batches only: :meth:`Problem.evaluate_batch` maps an
+``(n, d)`` array of decision vectors to ``(n, m)`` objectives and
+:meth:`Problem.jacobian` to the ``(n, m, d)`` stack of their Jacobians.
+
 Additional problems can be registered at runtime (a batch evaluation
 callback plus bounds, optionally a batch Jacobian; see :class:`Problem`);
 their reference fronts are supplied through plain-text files, one
@@ -92,30 +96,20 @@ class Problem:
             )
         return xs
 
-    def evaluate(self, x) -> np.ndarray:
-        """Objective vector f(x); raises on out-of-bounds input."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            raise ValueError(f"{self.id}: expected decision vector of length {self.d}")
-        return self._evaluate_batch(self._checked_batch(x[None, :]))[0]
-
     def evaluate_batch(self, xs) -> np.ndarray:
-        """Row-wise evaluation; identical to stacking :meth:`evaluate` per row."""
+        """Objectives (n, m) of the decision vectors (n, d); raises, naming
+        the first offending row's variable, on out-of-bounds input."""
         return self._evaluate_batch(self._checked_batch(np.asarray(xs, dtype=float)))
 
-    def jacobian(self, x) -> np.ndarray:
-        """Jacobian of one point, (m, d), or of a batch of points, (n, m, d).
+    def jacobian(self, xs) -> np.ndarray:
+        """Jacobians (n, m, d) of the decision vectors (n, d).
 
         Analytic when the problem has one, otherwise central finite
-        differences. The bounds of a batch are checked once, as in
-        :meth:`evaluate_batch`.
+        differences. Input is checked as in :meth:`evaluate_batch`.
         """
-        x = np.asarray(x, dtype=float)
-        xs = self._checked_batch(np.atleast_2d(x))
         if self._jacobian is None:
-            return finite_difference_jacobian(self, x)
-        jac = self._jacobian(xs)
-        return jac if x.ndim == 2 else jac[0]
+            return finite_difference_jacobian(self, xs)
+        return self._jacobian(self._checked_batch(np.asarray(xs, dtype=float)))
 
     @property
     def has_analytic_front(self) -> bool:
@@ -138,15 +132,14 @@ class ParetoFrontData:
         return self.points.shape[1]
 
 
-def finite_difference_jacobian(problem: Problem, x, rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of one point, (m, d), or of a batch, (n, m, d).
+def finite_difference_jacobian(problem: Problem, xs, rel_step: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobians (n, m, d) of the decision vectors (n, d).
 
     The step is rel_step * (ub - lb); a coordinate too close to a bound for
     the centered stencil gets a one-sided difference. All 2 n d probe
     points go through one :meth:`Problem.evaluate_batch` call.
     """
-    x = np.asarray(x, dtype=float)
-    xs = np.atleast_2d(x)
+    xs = problem._checked_batch(np.asarray(xs, dtype=float))
     n, d = xs.shape
     h = rel_step * (problem.ub - problem.lb)
     lo = np.maximum(xs - h, problem.lb)
@@ -157,8 +150,7 @@ def finite_difference_jacobian(problem: Problem, x, rel_step: float = 1e-6) -> n
          np.where(moved, lo[:, None, :], xs[:, None, :])]
     )
     f = problem.evaluate_batch(probes.reshape(-1, d)).reshape(2, n, d, problem.m)
-    jac = ((f[0] - f[1]) / (hi - lo)[:, :, None]).transpose(0, 2, 1)
-    return jac if x.ndim == 2 else jac[0]
+    return ((f[0] - f[1]) / (hi - lo)[:, :, None]).transpose(0, 2, 1)
 
 
 def _columns(*columns) -> np.ndarray:

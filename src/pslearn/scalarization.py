@@ -123,16 +123,14 @@ def cosmos(f, p, gamma: float = 1.0):
 def hv_scalarization(f, direction, ref):
     """Projected distance min_i (r_i - f_i) / lambda_i along one direction.
 
-    Returns ``(s, grad, inside)`` where ``grad`` is the subgradient of ``s``
-    (so a trainer maximizing ``s`` minimizes ``-s`` with gradient ``-grad``)
-    and ``inside`` flags whether ``f`` strictly dominates the reference point.
-    When it does not, the (negative) quotient is returned as-is; the training
-    signal still pushes the point inward.
+    Returns ``(s, grad)`` where ``grad`` is the subgradient of ``s`` (so a
+    trainer maximizing ``s`` minimizes ``-s`` with gradient ``-grad``). When
+    ``f`` does not strictly dominate the reference point, ``s <= 0`` is
+    returned as-is; the training signal still pushes the point inward.
     """
     f = np.asarray(f, dtype=float)
     lam = np.maximum(np.asarray(direction, dtype=float), PREFERENCE_CLAMP)
     r = np.asarray(ref, dtype=float)
     _check_dims(f, lam)
     quotients = (r - f) / lam
-    s, grad = _pick(quotients, np.argmin(quotients, axis=-1), -1.0 / lam)
-    return s, grad, np.all(f < r, axis=-1)
+    return _pick(quotients, np.argmin(quotients, axis=-1), -1.0 / lam)

@@ -30,6 +30,7 @@ import numpy as np
 from . import network as net
 from .hv import (
     HvReport,
+    _r2_credit,
     _ratio_tensor,
     exact_hv,
     log_hv_difference,
@@ -292,14 +293,9 @@ def _hv_loss(y, r, dirs: DirectionSet, batch_as_set: bool):
     ratios = _ratio_tensor(y, r, dirs)  # (m, n, D)
     lengths = ratios.min(axis=0)
     values = dirs.c_m * np.sum(np.maximum(lengths, 0.0) ** m, axis=1)
-    # As in r2_hv_subgradient: a direction with a positive length credits
-    # the coordinate of its inner minimum, accumulated in direction order.
+    # Every direction with a positive length is its own point's best one.
     rows, d_idx = np.nonzero(lengths > 0.0)
-    coord = ratios[:, rows, d_idx].argmin(axis=0)
-    contrib = (dirs.c_m * m * lengths[rows, d_idx] ** (m - 1)
-               * (-1.0 / dirs.directions[d_idx, coord]))
-    grad = np.zeros_like(y)
-    np.add.at(grad, (rows, coord), contrib)
+    grad = _r2_credit(ratios, rows, d_idx, lengths[rows, d_idx], dirs)
     return _batch_mean(-values), -grad / n
 
 
@@ -309,7 +305,7 @@ def _psl_hv(y, prefs, ideal, config):
     lam = np.maximum(prefs, PREFERENCE_CLAMP)
     # The stacked matmul rounds like np.linalg.norm of each row.
     lam = lam / np.sqrt(np.matmul(lam[:, None, :], lam[:, :, None]))[:, 0]
-    s, grad, _ = hv_scalarization(y, lam, np.full(y.shape[1], config.ref_offset))
+    s, grad = hv_scalarization(y, lam, np.full(y.shape[1], config.ref_offset))
     return -s, -grad
 
 

@@ -146,7 +146,7 @@ class TestCriterion1Gradients:
             q = np.sort((r - f) / lam)
             if q[1] - q[0] < 1e-3:
                 return None
-            return (lambda x: hv_scalarization(x, lam, r)[:2]), f
+            return (lambda x: hv_scalarization(x, lam, r)), f
 
         self._check_scalar_loss("hv-scalarization", sample)
 

@@ -8,8 +8,10 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from pslearn import network as net
 from pslearn.cli import CONFIG_KEYS, _base_kwargs, _parse_config_file, main
 from pslearn.trainer import TrainConfig
 
@@ -200,6 +202,27 @@ class TestEval:
         assert float(final_row.split(",")[-1]) == pytest.approx(
             payload["log_hv_difference"], rel=1e-12
         )
+
+    @pytest.mark.parametrize("damage, message", [
+        ("drop meta", "not a pslearn checkpoint (no meta)"),
+        ("drop w0", "not a pslearn checkpoint (no w0)"),
+        ("meta not json", "meta is not JSON"),
+    ], ids=["no-meta", "no-w0", "meta-not-json"])
+    def test_foreign_npz_is_an_error(self, tmp_path, capsys, damage, message):
+        params = net.init_network((2, 3), seed=0)
+        path = tmp_path / "bad.npz"
+        net.save_checkpoint(path, params, net.init_adam(params), {})
+        with np.load(path) as data:
+            arrays = dict(data)
+        if damage == "meta not json":
+            arrays["meta"] = np.frombuffer(b"{not json", dtype=np.uint8)
+        else:
+            del arrays[damage.split()[1]]
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        rc = main(["eval", "--checkpoint", str(path), "--problem", "zdt3", "--algo", "gpsl-g"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
 
 class TestConfigFile:

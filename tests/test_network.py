@@ -45,8 +45,11 @@ class TestForward:
         params = small_net()
         for w in params.weights:
             w[:] = 0.0
-        x, _ = net.forward(params, np.array([0.3, -2.0]), LB, UB)
+        v = np.array([0.3, -2.0])
+        (x,), _ = net.forward(params, v[None, :], LB, UB)
         np.testing.assert_allclose(x, (LB + UB) / 2.0, rtol=1e-15)
+        with pytest.raises(ValueError, match=r"expected \(n, 2\)"):
+            net.forward(params, v, LB, UB)
 
     def test_output_strictly_inside_bounds(self, rng):
         params = small_net(seed=3)
@@ -58,13 +61,14 @@ class TestForward:
         params = small_net(seed=5)
         v = rng.standard_normal((10, 2))
         batch, _ = net.forward(params, v, LB, UB)
-        singles = np.stack([net.forward(params, vi, LB, UB)[0] for vi in v])
+        singles = np.concatenate([net.forward(params, v[i : i + 1], LB, UB)[0]
+                                  for i in range(len(v))])
         np.testing.assert_allclose(batch, singles, rtol=1e-15)
 
     def test_rejects_nonfinite_input(self):
         params = small_net()
         with pytest.raises(ValueError):
-            net.forward(params, np.array([np.nan, 0.0]), LB, UB)
+            net.forward(params, np.array([[np.nan, 0.0]]), LB, UB)
 
     def test_input_standardisation_is_affine_reparam(self, rng):
         # Standardising inputs equals shifting/scaling the latent by hand.

@@ -39,23 +39,23 @@ def away_from_kinks(problem, x):
 
 class TestEvaluate:
     def test_zdt3_origin(self):
-        f = get_problem("zdt3").evaluate(np.zeros(30))
+        (f,) = get_problem("zdt3").evaluate_batch(np.zeros((1, 30)))
         np.testing.assert_allclose(f, [0.0, 1.0], atol=1e-14)
 
     def test_dtlz7_origin(self):
-        f = get_problem("dtlz7").evaluate(np.zeros(22))
+        (f,) = get_problem("dtlz7").evaluate_batch(np.zeros((1, 22)))
         np.testing.assert_allclose(f, [0.0, 0.0, 6.0], atol=1e-12)
 
     def test_dtlz5_at_half(self):
-        f = get_problem("dtlz5").evaluate(np.full(12, 0.5))
+        (f,) = get_problem("dtlz5").evaluate_batch(np.full((1, 12), 0.5))
         np.testing.assert_allclose(f, [0.5, 0.5, np.sqrt(2.0) / 2.0], rtol=1e-12)
 
     def test_out_of_bounds_names_index(self):
         prob = get_problem("zdt3")
-        x = np.zeros(30)
-        x[7] = 1.5
+        x = np.zeros((1, 30))
+        x[0, 7] = 1.5
         with pytest.raises(ValueError, match="variable 7"):
-            prob.evaluate(x)
+            prob.evaluate_batch(x)
 
     def test_batch_out_of_bounds_reports_first_bad_row(self):
         prob = get_problem("zdt3")
@@ -63,7 +63,7 @@ class TestEvaluate:
         xs[2, 7] = 1.5
         xs[4, 0] = -0.5
         with pytest.raises(ValueError) as expected:
-            prob.evaluate(xs[2])
+            prob.evaluate_batch(xs[2:3])
         with pytest.raises(ValueError) as got:
             prob.evaluate_batch(xs)
         assert str(got.value) == str(expected.value)
@@ -78,19 +78,19 @@ class TestEvaluate:
     @pytest.mark.parametrize("name", ALL_PROBLEMS)
     def test_deterministic_and_finite(self, name, rng):
         prob = get_problem(name)
-        x = interior_point(prob, rng)
-        f1 = prob.evaluate(x)
-        f2 = prob.evaluate(x)
+        x = interior_point(prob, rng)[None, :]
+        f1 = prob.evaluate_batch(x)
+        f2 = prob.evaluate_batch(x)
         np.testing.assert_array_equal(f1, f2)
         assert np.all(np.isfinite(f1))
-        assert f1.shape == (prob.m,)
+        assert f1.shape == (1, prob.m)
 
     @pytest.mark.parametrize("name", ALL_PROBLEMS)
     def test_batch_matches_rowwise(self, name, rng):
         prob = get_problem(name)
         xs = np.stack([interior_point(prob, rng) for _ in range(8)])
         batch = prob.evaluate_batch(xs)
-        rows = np.stack([prob.evaluate(x) for x in xs])
+        rows = np.concatenate([prob.evaluate_batch(xs[i : i + 1]) for i in range(len(xs))])
         np.testing.assert_allclose(batch, rows, rtol=1e-15)
 
     def test_truss_dimensions(self):
@@ -102,14 +102,17 @@ class TestEvaluate:
 
 class TestJacobian:
     def test_zdt3_first_objective_row(self):
+        prob = get_problem("zdt3")
         x = np.zeros(30)
         x[0] = 0.5
-        jac = get_problem("zdt3").jacobian(x)
+        (jac,) = prob.jacobian(x[None, :])
         assert jac[0, 0] == pytest.approx(1.0)
         np.testing.assert_array_equal(jac[0, 1:], np.zeros(29))
+        with pytest.raises(ValueError, match=r"expected an \(n, 30\) array"):
+            prob.jacobian(x)
 
     def test_dtlz5_third_objective_depends_only_on_x1_at_center(self):
-        jac = get_problem("dtlz5").jacobian(np.full(12, 0.5))
+        (jac,) = get_problem("dtlz5").jacobian(np.full((1, 12), 0.5))
         np.testing.assert_allclose(jac[2, 1:], np.zeros(11), atol=1e-12)
         assert jac[2, 0] > 0.0
 
@@ -123,10 +126,11 @@ class TestJacobian:
             if away_from_kinks(prob, x):
                 points.append(x)
         xs = np.stack(points)
-        fd = np.stack([finite_difference_jacobian(prob, x) for x in xs])
+        rows = [xs[i : i + 1] for i in range(len(xs))]
+        fd = np.concatenate([finite_difference_jacobian(prob, x) for x in rows])
         scale = np.maximum(np.abs(fd), 1e-6)
         # Point by point, and the 100 points as one (n, d) batch.
-        for analytic in (np.stack([prob.jacobian(x) for x in xs]), prob.jacobian(xs)):
+        for analytic in (np.concatenate([prob.jacobian(x) for x in rows]), prob.jacobian(xs)):
             assert np.max(np.abs(analytic - fd) / scale) < 1e-4
         np.testing.assert_array_equal(finite_difference_jacobian(prob, xs), fd)
 
@@ -142,10 +146,13 @@ class TestJacobian:
             ),
         )
         x = np.array([0.5, -0.25])
-        jac = toy.jacobian(x)
+        (jac,) = toy.jacobian(x[None, :])
         np.testing.assert_allclose(jac[0], 2.0 * x, rtol=1e-6)
         np.testing.assert_allclose(jac[1], 2.0 * (x - 1.0), rtol=1e-6)
         np.testing.assert_array_equal(toy.jacobian(np.stack([x, -x]))[0], jac)
+        for jacobian in (toy.jacobian, lambda x: finite_difference_jacobian(toy, x)):
+            with pytest.raises(ValueError, match=r"expected an \(n, 2\) array"):
+                jacobian(x)
 
 
 class TestFronts:

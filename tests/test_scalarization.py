@@ -143,12 +143,11 @@ class TestCosmos:
 class TestHvScalarization:
     def test_diagonal_projection(self):
         lam = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        s, grad, inside = hv_scalarization([0.0, 0.0], lam, [1.0, 1.0])
+        s, grad = hv_scalarization([0.0, 0.0], lam, [1.0, 1.0])
         assert s == pytest.approx(np.sqrt(2.0))
-        assert inside
 
     def test_axis_direction_clamped(self):
-        s, grad, _ = hv_scalarization([0.5, 0.0], [1.0, 0.0], [1.0, 1.0])
+        s, grad = hv_scalarization([0.5, 0.0], [1.0, 0.0], [1.0, 1.0])
         assert s == pytest.approx(0.5)
         np.testing.assert_allclose(grad, [-1.0, 0.0])
 
@@ -157,14 +156,13 @@ class TestHvScalarization:
         f = rng.random(2)
         r = f + rng.random(2) + 0.1
         shift = rng.standard_normal(2) * 3
-        s1, _, _ = hv_scalarization(f, lam, r)
-        s2, _, _ = hv_scalarization(f + shift, lam, r + shift)
+        s1, _ = hv_scalarization(f, lam, r)
+        s2, _ = hv_scalarization(f + shift, lam, r + shift)
         assert s1 == pytest.approx(s2, rel=1e-12)
 
     def test_outside_reference_flagged(self):
-        s, _, inside = hv_scalarization([2.0, 0.0], [0.707, 0.707], [1.0, 1.0])
+        s, _ = hv_scalarization([2.0, 0.0], [0.707, 0.707], [1.0, 1.0])
         assert s < 0.0
-        assert not inside
 
     def test_subgradient_matches_fd(self, rng):
         checked = 0
@@ -176,7 +174,7 @@ class TestHvScalarization:
             quotients = np.sort((r - f) / lam)
             if quotients[1] - quotients[0] < 1e-3:
                 continue
-            _, grad, _ = hv_scalarization(f, lam, r)
+            _, grad = hv_scalarization(f, lam, r)
             fd = central_difference_gradient(lambda x: hv_scalarization(x, lam, r)[0], f)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-9)
             checked += 1

@@ -279,7 +279,7 @@ class TestEvaluateModel:
         cfg = TrainConfig(problem="zdt3", algorithm="gpsl-g")
         draw, _, _ = latent_sampler(cfg, prob)
         report = evaluate_model(params, prob, draw, front, n_eval=64, seed=1)
-        y = prob.evaluate(net.forward(params, draw(1, 1)[0], prob.lb, prob.ub)[0])
+        (y,) = prob.evaluate_batch(net.forward(params, draw(1, 1), prob.lb, prob.ub)[0])
         f_min = front.points.min(axis=0)
         f_range = front.points.max(axis=0) - f_min
         y_norm = (y - f_min) / f_range
