@@ -293,7 +293,6 @@ def _hv_loss(y, r, dirs: DirectionSet, batch_as_set: bool):
     ratios = _ratio_tensor(y, r, dirs)  # (m, n, D)
     lengths = ratios.min(axis=0)
     values = dirs.c_m * np.sum(np.maximum(lengths, 0.0) ** m, axis=1)
-    # Every direction with a positive length is its own point's best one.
     rows, d_idx = np.nonzero(lengths > 0.0)
     grad = _r2_credit(ratios, rows, d_idx, lengths[rows, d_idx], dirs)
     return _batch_mean(-values), -grad / n
