@@ -66,6 +66,8 @@ CONFIG_KEYS = {
     "front": str,
     "out": str,
 }
+# Keys the CLI reads itself; every other key is a TrainConfig field.
+CLI_KEYS = ("seeds", "front", "out")
 
 
 def _parse_config_file(path: str) -> dict:
@@ -144,21 +146,13 @@ def _run_one(task: dict) -> dict:
 
     final = result.metrics.final()
     return {
-        "stem": stem,
         "label": task["label"],
         "problem": config.problem,
-        "algorithm": config.algorithm,
         "seed": config.seed,
         "final_log_hv_difference": final.log_hv_difference,
-        "final_hv_learned": final.hv_learned,
-        "hv_true": final.hv_true,
         "seconds": final.seconds,
-        "rows": [
-            (config.problem, task["label"], config.seed, rec.iteration, rec.log_hv_difference)
-            for rec in result.metrics.records
-        ],
+        "rows": [(rec.iteration, rec.log_hv_difference) for rec in result.metrics.records],
         "csv": str(csv_path),
-        "checkpoint": str(ckpt_path),
     }
 
 
@@ -178,15 +172,7 @@ def _median_iqr(values: list[float]) -> tuple[float, float]:
 
 
 def _base_kwargs(settings: dict) -> dict:
-    kwargs = {}
-    for key in (
-        "iterations", "batch_size", "latent_dim", "learning_rate", "beta1", "beta2",
-        "eps_adam", "directions_h", "eval_samples", "eval_interval", "eval_seed",
-        "hv_batch_as_set", "tch_epsilon", "cosmos_gamma", "dirichlet_alpha", "ref_offset",
-    ):
-        if settings.get(key) is not None:
-            kwargs[key] = settings[key]
-    return kwargs
+    return {key: value for key, value in settings.items() if key not in CLI_KEYS}
 
 
 def _build_tasks(settings: dict, out_dir: Path, arms) -> list[dict]:
@@ -195,6 +181,9 @@ def _build_tasks(settings: dict, out_dir: Path, arms) -> list[dict]:
     The overrides name the problem and the algorithm and take precedence
     over the shared settings.
     """
+    seeds = settings.get("seeds", 11)
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
     base = _base_kwargs(settings)
     return [
         {
@@ -205,30 +194,14 @@ def _build_tasks(settings: dict, out_dir: Path, arms) -> list[dict]:
             "label": label,
         }
         for label, overrides in arms
-        for seed in range(settings.get("seeds", 11))
+        for seed in range(seeds)
     ]
 
 
 def _collect_settings(args) -> dict:
-    settings = {}
-    if args.config:
-        settings.update(_parse_config_file(args.config))
-    flag_map = {
-        "problem": args.problem,
-        "algorithm": getattr(args, "algo", None),
-        "iterations": args.iters,
-        "batch_size": args.batch,
-        "latent_dim": args.latent_dim,
-        "directions_h": args.dirs_h,
-        "eval_samples": args.eval_n,
-        "eval_interval": args.eval_interval,
-        "seeds": args.seeds,
-        "front": args.front,
-        "out": args.out,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            settings[key] = value
+    settings = _parse_config_file(args.config) if args.config else {}
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key in CONFIG_KEYS and value is not None)
     return settings
 
 
@@ -249,8 +222,9 @@ def _validate_names(parser, problems, algorithms):
 def _write_long_csv(path: Path, results: list[dict]) -> None:
     lines = ["problem,algorithm,seed,iteration,log_hv_difference"]
     for res in results:
-        for problem, label, seed, iteration, value in res["rows"]:
-            lines.append(f"{problem},{label},{seed},{iteration},{value!r}")
+        prefix = f"{res['problem']},{res['label']},{res['seed']}"
+        for iteration, value in res["rows"]:
+            lines.append(f"{prefix},{iteration},{value!r}")
     _atomic(path, "\n".join(lines) + "\n")
 
 
@@ -274,6 +248,15 @@ def _summarize(results: list[dict]) -> dict:
     for problem in summary:
         summary[problem].sort(key=lambda row: row["median_final_log_hv_difference"])
     return summary
+
+
+def _grid(settings: dict, out_dir: Path, arms, workers: int, name: str) -> int:
+    """Run every arm over the seeds; write ``<name>.csv`` and its summary."""
+    results = _dispatch(_build_tasks(settings, out_dir, arms), workers)
+    _write_long_csv(out_dir / f"{name}.csv", results)
+    _atomic(out_dir / f"{name}_summary.json", json.dumps(_summarize(results), indent=2) + "\n")
+    print(f"wrote {out_dir / f'{name}.csv'} ({len(results)} runs)")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +312,7 @@ def cmd_compare(parser, args) -> int:
         for problem in problems
         for algorithm in algorithms
     ]
-    results = _dispatch(_build_tasks(settings, out_dir, arms), args.workers)
-    _write_long_csv(out_dir / "compare.csv", results)
-    summary = _summarize(results)
-    _atomic(out_dir / "compare_summary.json", json.dumps(summary, indent=2) + "\n")
-    print(f"wrote {out_dir / 'compare.csv'} ({len(results)} runs)")
-    return 0
+    return _grid(settings, out_dir, arms, args.workers, "compare")
 
 
 def cmd_ablate(parser, args) -> int:
@@ -351,21 +329,13 @@ def cmd_ablate(parser, args) -> int:
             (f"gpsl-g-dim{k}", {"problem": problem, "algorithm": "gpsl-g", "latent_dim": k})
             for k in dict.fromkeys((1, 2, 5, 10, prob.d))
         ]
-    elif kind == "latent-dist":
-        # All three initial distributions sampled in m dimensions.
+    else:  # latent-dist: all three initial distributions sampled in m dimensions
         arms = [
             (f"{algorithm}-dim{prob.m}",
              {"problem": problem, "algorithm": algorithm, "latent_dim": prob.m})
             for algorithm in GPSL_ALGORITHMS
         ]
-    else:  # pragma: no cover - argparse choices guard this
-        parser.error(f"unknown ablation kind {kind!r}")
-    results = _dispatch(_build_tasks(settings, out_dir, arms), args.workers)
-    _write_long_csv(out_dir / f"ablate_{kind}.csv", results)
-    summary = _summarize(results)
-    _atomic(out_dir / f"ablate_{kind}_summary.json", json.dumps(summary, indent=2) + "\n")
-    print(f"wrote {out_dir / f'ablate_{kind}.csv'} ({len(results)} runs)")
-    return 0
+    return _grid(settings, out_dir, arms, args.workers, f"ablate_{kind}")
 
 
 def cmd_eval(parser, args) -> int:
@@ -378,8 +348,7 @@ def cmd_eval(parser, args) -> int:
     params, _, seeds = net.load_checkpoint(args.checkpoint)
     problem = get_problem(problem_name)
     front = _load_front(problem_name, settings.get("front"))
-    config_kwargs = {"problem": problem_name, "algorithm": algorithm, **_base_kwargs(settings)}
-    config = TrainConfig(**config_kwargs)
+    config = TrainConfig(**_base_kwargs(settings))
     draw, _, _ = latent_sampler(config, problem)
     report = evaluate_model(
         params, problem, draw, front,
@@ -410,12 +379,12 @@ def cmd_eval(parser, args) -> int:
 def _add_common_flags(sub):
     sub.add_argument("--problem", help="problem name")
     sub.add_argument("--seeds", type=int, help="number of seeds (0..n-1); default 11")
-    sub.add_argument("--iters", type=int, help="training iterations")
-    sub.add_argument("--batch", type=int, help="batch size")
-    sub.add_argument("--latent-dim", dest="latent_dim", type=int, help="latent dimension")
-    sub.add_argument("--dirs-h", dest="dirs_h", type=int, help="direction-set division count")
-    sub.add_argument("--eval-n", dest="eval_n", type=int, help="evaluation sample count")
-    sub.add_argument("--eval-interval", dest="eval_interval", type=int, help="iterations between evaluations")
+    sub.add_argument("--iters", dest="iterations", type=int, help="training iterations")
+    sub.add_argument("--batch", dest="batch_size", type=int, help="batch size")
+    sub.add_argument("--latent-dim", type=int, help="latent dimension")
+    sub.add_argument("--dirs-h", dest="directions_h", type=int, help="direction-set division count")
+    sub.add_argument("--eval-n", dest="eval_samples", type=int, help="evaluation sample count")
+    sub.add_argument("--eval-interval", type=int, help="iterations between evaluations")
     sub.add_argument("--front", help="reference-front file (text rows, m columns)")
     sub.add_argument("--config", help="flat key = value config file; flags override")
     sub.add_argument("--out", help=f"output directory (default ${OUTPUT_ROOT_ENV} or ./runs)")
@@ -430,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     run = subparsers.add_parser("run", help="train one (problem, algorithm) over several seeds")
-    run.add_argument("--algo", help="algorithm tag")
+    run.add_argument("--algo", dest="algorithm", help="algorithm tag")
     _add_common_flags(run)
 
     compare = subparsers.add_parser("compare", help="run a problems x algorithms grid")
@@ -444,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     evalp = subparsers.add_parser("eval", help="re-evaluate a saved checkpoint")
     evalp.add_argument("--checkpoint", required=True, help="path to a .ckpt.npz file")
-    evalp.add_argument("--algo", help="algorithm tag (selects the latent distribution)")
+    evalp.add_argument("--algo", dest="algorithm",
+                       help="algorithm tag (selects the latent distribution)")
     _add_common_flags(evalp)
 
     return parser

@@ -16,6 +16,7 @@ with large-magnitude bounds) and is part of the model, not of the sampler.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -159,12 +160,10 @@ def init_network(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) is exactly exp(-z) where z >= 0 and exp(z) elsewhere, and
+    # never overflows.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def forward(params: NetworkParams, v, lb, ub):
@@ -317,39 +316,48 @@ def load_checkpoint(path):
     """Inverse of :func:`save_checkpoint`; returns (params, adam_state, seeds).
 
     A file that :func:`save_checkpoint` did not write raises ``ValueError``
-    naming the path and the entry or ``meta`` key it lacks.
+    naming the path and, for a readable ``.npz`` archive, the entry or
+    ``meta`` key it lacks.
     """
-    with np.load(path) as data:
-        def entry(name):
-            if name not in data.files:
-                raise ValueError(f"{path}: not a pslearn checkpoint (no {name})")
-            return data[name]
+    try:
+        archive = np.load(path)
+        if not isinstance(archive, np.lib.npyio.NpzFile):  # a plain .npy array
+            raise ValueError
+        with archive:
+            data = dict(archive)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        raise ValueError(f"{path}: not a pslearn checkpoint (not a readable .npz archive)") from None
 
-        raw_meta = bytes(entry("meta"))
-        try:
-            meta = json.loads(raw_meta.decode("utf-8"))
-            activation, seeds = meta["activation"], meta["seeds"]
-            sizes = tuple(meta["layer_sizes"])
-            adam = {key: meta["adam"][key]
-                    for key in ("t", "learning_rate", "beta1", "beta2", "eps")}
-        except KeyError as exc:
-            raise ValueError(f"{path}: not a pslearn checkpoint (no meta key {exc})") from None
-        except ValueError as exc:
-            raise ValueError(f"{path}: meta is not JSON ({exc})") from None
-        if activation != "relu":
-            raise ValueError(f"{path}: activation {activation!r} is not supported; "
-                             "the model is a ReLU network")
-        layers = range(len(sizes) - 1)
+    def entry(name):
+        if name not in data:
+            raise ValueError(f"{path}: not a pslearn checkpoint (no {name})")
+        return data[name]
 
-        def flat(w_key, b_key):
-            return _flatten([entry(f"{w_key}{i}") for i in layers],
-                            [entry(f"{b_key}{i}") for i in layers])
+    raw_meta = bytes(entry("meta"))
+    try:
+        meta = json.loads(raw_meta.decode("utf-8"))
+        activation, seeds = meta["activation"], meta["seeds"]
+        sizes = tuple(meta["layer_sizes"])
+        adam = {key: meta["adam"][key]
+                for key in ("t", "learning_rate", "beta1", "beta2", "eps")}
+    except KeyError as exc:
+        raise ValueError(f"{path}: not a pslearn checkpoint (no meta key {exc})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: meta is not JSON ({exc})") from None
+    if activation != "relu":
+        raise ValueError(f"{path}: activation {activation!r} is not supported; "
+                         "the model is a ReLU network")
+    layers = range(len(sizes) - 1)
 
-        params = NetworkParams(
-            layer_sizes=sizes,
-            flat=flat("w", "b"),
-            input_offset=entry("input_offset"),
-            input_scale=entry("input_scale"),
-        )
-        state = AdamState(m=flat("adam_mw", "adam_mb"), v=flat("adam_vw", "adam_vb"), **adam)
+    def flat(w_key, b_key):
+        return _flatten([entry(f"{w_key}{i}") for i in layers],
+                        [entry(f"{b_key}{i}") for i in layers])
+
+    params = NetworkParams(
+        layer_sizes=sizes,
+        flat=flat("w", "b"),
+        input_offset=entry("input_offset"),
+        input_scale=entry("input_scale"),
+    )
+    state = AdamState(m=flat("adam_mw", "adam_mb"), v=flat("adam_vw", "adam_vb"), **adam)
     return params, state, seeds

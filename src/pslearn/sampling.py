@@ -147,10 +147,6 @@ def das_dennis(m: int, divisions: int) -> DirectionSet:
 
 def default_divisions(m: int) -> int:
     """Division count giving roughly 100 directions for the given m."""
-    if m == 2:
-        return 99
-    if m == 3:
-        return 13
     h = 1
     while math.comb(h + m - 1, m - 1) < 100:
         h += 1

@@ -113,8 +113,8 @@ class TrainConfig:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; valid: {', '.join(ALGORITHMS)}"
             )
-        if self.iterations < 1 or self.batch_size < 1:
-            raise ValueError("need iterations >= 1 and batch_size >= 1")
+        if self.iterations < 1 or self.batch_size < 1 or self.eval_interval < 1:
+            raise ValueError("need iterations >= 1, batch_size >= 1 and eval_interval >= 1")
         if self.latent_dim is not None and self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
 

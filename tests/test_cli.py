@@ -207,19 +207,36 @@ class TestEval:
         ("drop meta", "not a pslearn checkpoint (no meta)"),
         ("drop w0", "not a pslearn checkpoint (no w0)"),
         ("meta not json", "meta is not JSON"),
-    ], ids=["no-meta", "no-w0", "meta-not-json"])
+        ("npy array", "not a pslearn checkpoint (not a readable .npz archive)"),
+        ("empty", "not a pslearn checkpoint (not a readable .npz archive)"),
+        ("zip magic only", "not a pslearn checkpoint (not a readable .npz archive)"),
+        ("first half", "not a pslearn checkpoint (not a readable .npz archive)"),
+        ("text", "not a pslearn checkpoint (not a readable .npz archive)"),
+    ], ids=["no-meta", "no-w0", "meta-not-json", "npy", "empty", "zip-magic", "truncated", "text"])
     def test_foreign_npz_is_an_error(self, tmp_path, capsys, damage, message):
         params = net.init_network((2, 3), seed=0)
         path = tmp_path / "bad.npz"
         net.save_checkpoint(path, params, net.init_adam(params), {})
         with np.load(path) as data:
             arrays = dict(data)
+        whole = path.read_bytes()
         if damage == "meta not json":
             arrays["meta"] = np.frombuffer(b"{not json", dtype=np.uint8)
-        else:
+        elif damage.startswith("drop"):
             del arrays[damage.split()[1]]
         with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
+            if damage == "npy array":
+                np.save(fh, arrays["w0"])
+            elif damage == "empty":
+                pass
+            elif damage == "zip magic only":
+                fh.write(b"PK\x03\x04" + bytes(40))
+            elif damage == "first half":
+                fh.write(whole[: len(whole) // 2])
+            elif damage == "text":
+                fh.write(b"iteration,loss\n0,1.5\n")
+            else:
+                np.savez(fh, **arrays)
         rc = main(["eval", "--checkpoint", str(path), "--problem", "zdt3", "--algo", "gpsl-g"])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
@@ -274,10 +291,56 @@ class TestConfigFile:
         for key in CONFIG_KEYS.keys() - cli_keys:
             assert key in fields and passed.get(key) == key, key
 
+    @pytest.mark.parametrize("flag, key, file_value, flag_value", [
+        ("--problem", "problem", "zdt3", "dtlz7"),
+        ("--algo", "algorithm", "gpsl-g", "psl-tch"),
+        ("--iters", "iterations", 12, 7),
+        ("--batch", "batch_size", 6, 5),
+        ("--latent-dim", "latent_dim", 2, 3),
+        ("--dirs-h", "directions_h", 5, 4),
+        ("--eval-n", "eval_samples", 40, 30),
+        ("--eval-interval", "eval_interval", 6, 3),
+    ])
+    def test_each_flag_overrides_its_key(self, tmp_path, monkeypatch,
+                                         flag, key, file_value, flag_value):
+        configs = []
+
+        def train(config, front):
+            configs.append(config)
+            raise ValueError("stop before training")
+
+        monkeypatch.setattr("pslearn.cli.train", train)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"problem = zdt3\nalgorithm = gpsl-g\n{key} = {file_value}\n")
+        base = ["run", "--config", str(cfg), "--seeds", "1", "--out", str(tmp_path)]
+        assert main(base) == 1
+        assert main([*base, flag, str(flag_value)]) == 1
+        assert [getattr(config, key) for config in configs] == [file_value, flag_value]
+
     def test_comments_allowed(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("# experiment\nproblem = zdt3  # trailing\n")
         assert _parse_config_file(cfg)["problem"] == "zdt3"
+
+
+class TestUnrunnableSettings:
+    @pytest.mark.parametrize("interval", [0, -3])
+    def test_eval_interval_below_one_is_an_error(self, tmp_path, capsys, interval):
+        rc = main(["run", "--problem", "zdt3", "--algo", "gpsl-g", "--seeds", "1",
+                   "--out", str(tmp_path), *FAST, "--eval-interval", str(interval)])
+        assert rc == 1
+        assert "eval_interval >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--problem", "zdt3", "--algo", "gpsl-g"],
+        ["compare", "--problems", "zdt3", "--algos", "gpsl-g"],
+        ["ablate", "latent-dist", "--problem", "zdt3"],
+    ], ids=["run", "compare", "ablate"])
+    def test_zero_seeds_is_an_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([*command, "--seeds", "0", "--out", str(out), *FAST]) == 1
+        assert capsys.readouterr().err == "error: seeds must be >= 1, got 0\n"
+        assert not list(out.glob("*.csv"))
 
 
 class TestOutputRootEnv:

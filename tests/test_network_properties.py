@@ -1,7 +1,8 @@
-"""Property tests of the flat-vector Adam update: several steps against a
-per-layer Adam kept here as the oracle, the layer named by a non-finite
-gradient, exact checkpoint round-trips of the flat optimizer state, and
-copies whose layers stay views of their own vector."""
+"""Property tests of the network: the output sigmoid against the masked form
+kept here as the oracle, and the flat-vector Adam update: several steps
+against a per-layer Adam kept here as the oracle, the layer named by a
+non-finite gradient, exact checkpoint round-trips of the flat optimizer
+state, and copies whose layers stay views of their own vector."""
 
 import copy
 import math
@@ -14,7 +15,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,6 +25,33 @@ from pslearn.trainer import TrainConfig, TrainingDiverged, _train_loop
 
 # Zeros and repeated values alongside general floats.
 _GRAD = st.one_of(st.sampled_from([0.0, -1.0, 1e-3]), st.floats(-1e3, 1e3))
+
+
+def masked_sigmoid(z):
+    """The output sigmoid as the package computed it before, branch by mask."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 745.2, -745.2,
+          36.8, -36.8, 1e-300, -1e-300, 5e-324, -5e-324]
+
+
+@settings(max_examples=300, deadline=None)
+@example(z=np.array([_EDGES]))
+@given(z=arrays(float, st.tuples(st.integers(1, 8), st.integers(1, 8)),
+                elements=st.one_of(st.sampled_from(_EDGES),
+                                   st.floats(allow_nan=True, allow_infinity=True))))
+def test_sigmoid_bits_equal_masked_oracle(z):
+    got, want = net._sigmoid(z), masked_sigmoid(z)
+    # A NaN input gives NaN on both sides; only its sign bit may differ.
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
 def per_layer_adam(weights, biases, grads, state):
