@@ -108,13 +108,6 @@ def _atomic(path: Path, content) -> None:
     os.replace(tmp, path)
 
 
-def _resolve_out_dir(out: str | None) -> Path:
-    root = out or os.environ.get(OUTPUT_ROOT_ENV) or "runs"
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _load_front(problem_name: str, front_path: str | None):
     problem = get_problem(problem_name)
     if front_path:
@@ -131,7 +124,7 @@ def _run_one(task: dict) -> dict:
 
     Top-level so grid commands can dispatch it to worker processes.
     """
-    config = TrainConfig(**task["config_kwargs"])
+    config = task["config"]
     front = _load_front(config.problem, task.get("front"))
     result = train(config, front)
     out_dir = Path(task["out_dir"])
@@ -175,19 +168,21 @@ def _base_kwargs(settings: dict) -> dict:
     return {key: value for key, value in settings.items() if key not in CLI_KEYS}
 
 
-def _build_tasks(settings: dict, out_dir: Path, arms) -> list[dict]:
-    """One task per seed of each ``(label, TrainConfig overrides)`` arm.
+def _build_tasks(settings: dict, arms) -> tuple[Path, list[dict]]:
+    """The output directory and one task per seed of each (label, overrides) arm.
 
-    The overrides name the problem and the algorithm and take precedence
-    over the shared settings.
+    The ``TrainConfig`` overrides name the problem and the algorithm and take
+    precedence over the shared settings. The directory is made only once
+    every task's ``TrainConfig`` has passed its checks.
     """
     seeds = settings.get("seeds", 11)
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     base = _base_kwargs(settings)
-    return [
+    out_dir = Path(settings.get("out") or os.environ.get(OUTPUT_ROOT_ENV) or "runs")
+    tasks = [
         {
-            "config_kwargs": {**base, **overrides, "seed": seed},
+            "config": TrainConfig(**{**base, **overrides, "seed": seed}),
             "front": settings.get("front"),
             "out_dir": str(out_dir),
             "stem": f"{overrides['problem']}_{label}_seed{seed}",
@@ -196,6 +191,8 @@ def _build_tasks(settings: dict, out_dir: Path, arms) -> list[dict]:
         for label, overrides in arms
         for seed in range(seeds)
     ]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir, tasks
 
 
 def _collect_settings(args) -> dict:
@@ -250,9 +247,10 @@ def _summarize(results: list[dict]) -> dict:
     return summary
 
 
-def _grid(settings: dict, out_dir: Path, arms, workers: int, name: str) -> int:
+def _grid(settings: dict, arms, workers: int, name: str) -> int:
     """Run every arm over the seeds; write ``<name>.csv`` and its summary."""
-    results = _dispatch(_build_tasks(settings, out_dir, arms), workers)
+    out_dir, tasks = _build_tasks(settings, arms)
+    results = _dispatch(tasks, workers)
     _write_long_csv(out_dir / f"{name}.csv", results)
     _atomic(out_dir / f"{name}_summary.json", json.dumps(_summarize(results), indent=2) + "\n")
     print(f"wrote {out_dir / f'{name}.csv'} ({len(results)} runs)")
@@ -270,9 +268,9 @@ def cmd_run(parser, args) -> int:
     if not problem or not algorithm:
         parser.error("run requires --problem and --algo (or a config file setting them)")
     _validate_names(parser, [problem], [algorithm])
-    out_dir = _resolve_out_dir(settings.get("out"))
     arm = (algorithm, {"problem": problem, "algorithm": algorithm})
-    results = _dispatch(_build_tasks(settings, out_dir, [arm]), args.workers)
+    out_dir, tasks = _build_tasks(settings, [arm])
+    results = _dispatch(tasks, args.workers)
     finals = [r["final_log_hv_difference"] for r in results]
     med, iqr = _median_iqr(finals)
     summary = {
@@ -306,13 +304,12 @@ def cmd_compare(parser, args) -> int:
             f"--front gives one reference front, but the grid has {len(problems)} "
             f"problems ({', '.join(problems)}); compare one problem per front file"
         )
-    out_dir = _resolve_out_dir(settings.get("out"))
     arms = [
         (algorithm, {"problem": problem, "algorithm": algorithm})
         for problem in problems
         for algorithm in algorithms
     ]
-    return _grid(settings, out_dir, arms, args.workers, "compare")
+    return _grid(settings, arms, args.workers, "compare")
 
 
 def cmd_ablate(parser, args) -> int:
@@ -322,7 +319,6 @@ def cmd_ablate(parser, args) -> int:
         parser.error("ablate requires --problem")
     _validate_names(parser, [problem], [])
     kind = args.kind
-    out_dir = _resolve_out_dir(settings.get("out"))
     prob = get_problem(problem)
     if kind == "latent-dim":
         arms = [
@@ -335,7 +331,7 @@ def cmd_ablate(parser, args) -> int:
              {"problem": problem, "algorithm": algorithm, "latent_dim": prob.m})
             for algorithm in GPSL_ALGORITHMS
         ]
-    return _grid(settings, out_dir, arms, args.workers, f"ablate_{kind}")
+    return _grid(settings, arms, args.workers, f"ablate_{kind}")
 
 
 def cmd_eval(parser, args) -> int:
@@ -367,7 +363,8 @@ def cmd_eval(parser, args) -> int:
     }
     text = json.dumps(payload, indent=2)
     if settings.get("out"):
-        out_dir = _resolve_out_dir(settings.get("out"))
+        out_dir = Path(settings["out"])
+        out_dir.mkdir(parents=True, exist_ok=True)
         _atomic(out_dir / "eval_report.json", text + "\n")
     print(text)
     return 0
@@ -376,18 +373,22 @@ def cmd_eval(parser, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common_flags(sub):
+def _add_eval_flags(sub):
     sub.add_argument("--problem", help="problem name")
-    sub.add_argument("--seeds", type=int, help="number of seeds (0..n-1); default 11")
-    sub.add_argument("--iters", dest="iterations", type=int, help="training iterations")
-    sub.add_argument("--batch", dest="batch_size", type=int, help="batch size")
     sub.add_argument("--latent-dim", type=int, help="latent dimension")
-    sub.add_argument("--dirs-h", dest="directions_h", type=int, help="direction-set division count")
     sub.add_argument("--eval-n", dest="eval_samples", type=int, help="evaluation sample count")
-    sub.add_argument("--eval-interval", type=int, help="iterations between evaluations")
     sub.add_argument("--front", help="reference-front file (text rows, m columns)")
     sub.add_argument("--config", help="flat key = value config file; flags override")
     sub.add_argument("--out", help=f"output directory (default ${OUTPUT_ROOT_ENV} or ./runs)")
+
+
+def _add_train_flags(sub):
+    _add_eval_flags(sub)
+    sub.add_argument("--seeds", type=int, help="number of seeds (0..n-1); default 11")
+    sub.add_argument("--iters", dest="iterations", type=int, help="training iterations")
+    sub.add_argument("--batch", dest="batch_size", type=int, help="batch size")
+    sub.add_argument("--dirs-h", dest="directions_h", type=int, help="direction-set division count")
+    sub.add_argument("--eval-interval", type=int, help="iterations between evaluations")
     sub.add_argument("--workers", type=int, default=1, help="worker processes for grids")
 
 
@@ -400,22 +401,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subparsers.add_parser("run", help="train one (problem, algorithm) over several seeds")
     run.add_argument("--algo", dest="algorithm", help="algorithm tag")
-    _add_common_flags(run)
+    _add_train_flags(run)
 
     compare = subparsers.add_parser("compare", help="run a problems x algorithms grid")
     compare.add_argument("--problems", help="comma-separated problem names")
     compare.add_argument("--algos", help="comma-separated algorithm tags (default: all)")
-    _add_common_flags(compare)
+    _add_train_flags(compare)
 
     ablate = subparsers.add_parser("ablate", help="latent-dimension or latent-distribution sweep")
     ablate.add_argument("kind", choices=("latent-dim", "latent-dist"))
-    _add_common_flags(ablate)
+    _add_train_flags(ablate)
 
     evalp = subparsers.add_parser("eval", help="re-evaluate a saved checkpoint")
     evalp.add_argument("--checkpoint", required=True, help="path to a .ckpt.npz file")
     evalp.add_argument("--algo", dest="algorithm",
                        help="algorithm tag (selects the latent distribution)")
-    _add_common_flags(evalp)
+    _add_eval_flags(evalp)
 
     return parser
 

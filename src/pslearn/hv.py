@@ -67,9 +67,9 @@ def _keep_pairwise(pts: np.ndarray) -> np.ndarray:
     return ~dominated
 
 
-# The sweeps below take distinct rows in lexicographic order. Any row that
-# dominates row i then comes before it, so row i survives exactly when no
-# earlier row is at most it in the remaining coordinates.
+# The sweeps below take rows in lexicographic order. Any row that weakly
+# dominates row i, an earlier copy included, then comes before it, so row i
+# survives exactly when no earlier row is at most it in the other coordinates.
 
 
 def _keep_2d(pts: np.ndarray) -> np.ndarray:
@@ -145,31 +145,29 @@ def nondominated_filter(points) -> np.ndarray:
 
 
 def _hv_2d(pts: np.ndarray, r: np.ndarray) -> float:
-    # pts: mutually non-dominated, all strictly inside the reference box.
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
+    # pts: strictly inside the reference box; copies and dominated rows allowed.
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    pts = pts[_keep_2d(pts)]
     x_next = np.append(pts[1:, 0], r[0])
     return float(np.sum((x_next - pts[:, 0]) * (r[1] - pts[:, 1])))
 
 
 def _hv_3d(pts: np.ndarray, r: np.ndarray) -> float:
-    # Sweep along the third objective, maintaining the 2-D staircase of the
-    # points seen so far and accumulating area * depth slabs.
-    order = np.argsort(pts[:, 2], kind="stable")
-    pts = pts[order]
+    # Sweep along f3 with the 2-D staircase of the points seen so far, adding
+    # area * depth slabs; a skipped (dominated) point never splits a slab.
+    pts = pts[np.argsort(pts[:, 2], kind="stable")]
     xs: list[float] = []  # staircase x, strictly increasing
     ys: list[float] = []  # staircase y, strictly decreasing
     area = 0.0
     volume = 0.0
     z_prev = float(pts[0, 2])
-    for x, y, z in pts:
-        x, y, z = float(x), float(y), float(z)
-        if z > z_prev:
-            volume += area * (z - z_prev)
-            z_prev = z
+    for x, y, z in pts.tolist():
         slot = _staircase_slot(xs, ys, x, y)
         if slot is None:
             continue  # weakly dominated in the (f1, f2) projection
+        if z > z_prev:
+            volume += area * (z - z_prev)
+            z_prev = z
         lo, end = slot
         x_right = xs[end] if end < len(xs) else r[0]
         gain = (x_right - x) * (r[1] - y)
@@ -210,8 +208,8 @@ def exact_hv(points, ref) -> float:
     Points not strictly dominating the reference point are dropped (their
     count is logged at debug level). An empty effective set has volume 0.
 
-    The algorithm follows m: a sorted sweep for m=2, a staircase sweep for
-    m=3 and the recursive exclusive-volume algorithm otherwise.
+    The algorithm follows m: a sorted sweep for m=2 and a staircase sweep
+    for m=3, both skipping dominated points, else recursive exclusive volume.
     """
     pts = _as_points(points)
     r = np.asarray(ref, dtype=float).reshape(-1)
@@ -228,15 +226,12 @@ def exact_hv(points, ref) -> float:
     pts = pts[inside]
     if len(pts) == 0:
         return 0.0
-    pts = nondominated_filter(pts)
     m = r.size
-    if m == 1:
-        return float(r[0] - pts[:, 0].min())
     if m == 2:
         return _hv_2d(pts, r)
     if m == 3:
         return _hv_3d(pts, r)
-    return _hv_wfg(pts, r)
+    return _hv_wfg(nondominated_filter(pts), r)
 
 
 def _ratio_tensor(pts: np.ndarray, r: np.ndarray, dirs: DirectionSet) -> np.ndarray:

@@ -185,22 +185,14 @@ def forward(params: NetworkParams, v, lb, ub):
 
     a = (v - params.input_offset) / params.input_scale
     activations = [a]
-    pre_acts = []
     n_layers = params.n_layers()
     for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = a @ w.T + b
-        pre_acts.append(z)
         a = np.maximum(z, 0.0) if layer < n_layers - 1 else z
         activations.append(a)
-    sig = _sigmoid(pre_acts[-1])
+    sig = _sigmoid(a)
     x = lb + sig * (ub - lb)
-    cache = {
-        "activations": activations,
-        "pre_acts": pre_acts,
-        "sigmoid": sig,
-        "span": ub - lb,
-    }
-    return x, cache
+    return x, {"activations": activations, "sigmoid": sig, "span": ub - lb}
 
 
 def backward(params: NetworkParams, cache, upstream):
@@ -225,7 +217,8 @@ def backward(params: NetworkParams, cache, upstream):
         grad_w[layer] = delta.T @ a_prev
         grad_b[layer] = delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ params.weights[layer]) * (cache["pre_acts"][layer - 1] > 0.0)
+            # relu(z) > 0 exactly where z > 0, NaN included.
+            delta = (delta @ params.weights[layer]) * (cache["activations"][layer] > 0.0)
     return grad_w, grad_b
 
 

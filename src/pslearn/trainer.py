@@ -382,11 +382,11 @@ def _hv_report(hv_true: float, hv_learned: float) -> HvReport:
     )
 
 
-def _score(params, problem: Problem, sampler, n_eval: int, seed, normalized) -> HvReport:
+def _score(params, problem: Problem, latents, normalized) -> HvReport:
     # The one evaluation path: latents -> model -> objectives normalized by
-    # the front's extremes -> exact hypervolume, which does the filtering.
+    # the front's extremes -> exact hypervolume, which skips dominated points.
     extremes, r, hv_true = normalized
-    xs, _ = net.forward(params, sampler(n_eval, seed), problem.lb, problem.ub)
+    xs, _ = net.forward(params, latents, problem.lb, problem.ub)
     y = extremes.normalize(problem.evaluate_batch(xs))
     return _hv_report(hv_true, exact_hv(y, r))
 
@@ -409,7 +409,7 @@ def evaluate_model(
     """
     if n_eval < 1:
         raise ValueError("n_eval must be >= 1")
-    return _score(params, problem, sampler, n_eval, seed, _normalized_front(front, ref_offset))
+    return _score(params, problem, sampler(n_eval, seed), _normalized_front(front, ref_offset))
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +441,12 @@ def _train_loop(config: TrainConfig, problem: Problem, front: ParetoFrontData,
     )
     rng = np.random.default_rng(config.seed)
     normalized = _normalized_front(front, config.ref_offset)
+    eval_latents = draw(config.eval_samples, config.eval_seed)  # the same every row
     metrics = MetricsLog()
     start = time.perf_counter()
 
     def evaluate(iteration: int, loss: float):
-        report = _score(params, problem, draw, config.eval_samples, config.eval_seed, normalized)
+        report = _score(params, problem, eval_latents, normalized)
         metrics.append(
             MetricsRecord(
                 iteration=iteration,
@@ -459,7 +460,7 @@ def _train_loop(config: TrainConfig, problem: Problem, front: ParetoFrontData,
 
     # Row 0 scores the untrained model; its loss is probed on an evaluation
     # batch with throwaway extremes so neither the training extremes nor the
-    # rng stream are touched.
+    # rng stream are touched, on its own draw (LHS strata depend on n).
     probe_latents = draw(config.batch_size, config.eval_seed)
     probe_loss, _ = batch_loss(params, probe_latents, _RunningExtremes(problem.m))
     evaluate(0, probe_loss)

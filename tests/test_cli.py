@@ -241,6 +241,31 @@ class TestEval:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
+    @pytest.mark.parametrize("flag", [
+        "--seeds", "--iters", "--batch", "--dirs-h", "--eval-interval", "--workers",
+    ])
+    def test_training_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        # Nothing in eval reads them, so they must not be accepted and ignored.
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--checkpoint", str(tmp_path / "c.ckpt.npz"),
+                  "--problem", "zdt3", "--algo", "gpsl-g", flag, "3"])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+    def test_config_file_shared_with_run(self, tmp_path, capsys):
+        # Keys that only training reads are still accepted from a file.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("problem = zdt3\nalgorithm = gpsl-g\niterations = 12\nbatch_size = 6\n"
+                       "eval_interval = 6\neval_samples = 40\ndirections_h = 5\nseeds = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg),
+                     "--checkpoint", str(out / "zdt3_gpsl-g_seed0.ckpt.npz")]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        final_row = (out / "zdt3_gpsl-g_seed0.csv").read_text().strip().splitlines()[-1]
+        assert payload["log_hv_difference"] == float(final_row.split(",")[-1])
+
 
 class TestConfigFile:
     def test_file_values_used_and_flags_override(self, tmp_path):
@@ -340,7 +365,19 @@ class TestUnrunnableSettings:
         out = tmp_path / "out"
         assert main([*command, "--seeds", "0", "--out", str(out), *FAST]) == 1
         assert capsys.readouterr().err == "error: seeds must be >= 1, got 0\n"
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--problem", "zdt3", "--algo", "gpsl-g"],
+        ["compare", "--problems", "zdt3", "--algos", "gpsl-g"],
+        ["ablate", "latent-dist", "--problem", "zdt3"],
+    ], ids=["run", "compare", "ablate"])
+    def test_rejected_config_leaves_no_directory(self, tmp_path, capsys, command):
+        # TrainConfig checks every task before the output directory is made.
+        out = tmp_path / "out"
+        assert main([*command, "--seeds", "1", "--out", str(out), *FAST, "--iters", "0"]) == 1
+        assert "iterations >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOutputRootEnv:

@@ -61,6 +61,7 @@ class TestNondominatedFilter:
 class TestExactHv:
     def test_unit_box(self):
         assert exact_hv([[0, 0]], [1, 1]) == pytest.approx(1.0)
+        assert exact_hv([[0.2], [0.5]], [1.0]) == 0.8
 
     def test_two_point_inclusion_exclusion(self):
         # Boxes of area 2 each overlapping in area 1.

@@ -1,5 +1,6 @@
 """Property tests of the sorted non-dominated filter against the pairwise
-definition check and the brute-force oracle, and of the objective-major
+definition check and the brute-force oracle, of the exact hypervolume sweeps
+against the filter-first path they replaced, and of the objective-major
 R2 ratio tensor against the point-major layout it replaced."""
 
 import numpy as np
@@ -13,7 +14,10 @@ from hypothesis.extra.numpy import arrays
 
 from pslearn.hv import (
     _filter_rows,
+    _hv_2d,
+    _hv_3d,
     _keep_pairwise,
+    exact_hv,
     nondominated_filter,
     r2_hv_approx,
     r2_hv_subgradient,
@@ -67,6 +71,43 @@ def test_nan_and_inf_rows(filt):
     np.testing.assert_array_equal(out, [[np.nan, 0], [1, 1]])
     out = filt([[1, np.inf], [0, np.nan]])
     np.testing.assert_array_equal(out, [[1, np.inf], [0, np.nan]])
+
+
+def filter_first_hv(pts, r):
+    """``exact_hv`` for m = 2 or 3 as it was before its sweeps skipped
+    dominated points: the sweep on the non-dominated in-box points."""
+    inside = nondominated_filter(pts[np.all(pts < r, axis=1)])
+    if len(inside) == 0:
+        return 0.0
+    return (_hv_2d if len(r) == 2 else _hv_3d)(inside, r)
+
+
+# Quarter steps make ties in single coordinates and put points on or past
+# the reference point r = 1; the floats make sums that round.
+_HV_COORD = st.one_of(st.integers(0, 5).map(lambda k: k / 4.0), st.floats(0.0, 1.2))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_sweeps_skip_what_the_filter_drops(m, data):
+    pts = data.draw(st.integers(1, 25).flatmap(
+        lambda n: arrays(float, (n, m), elements=_HV_COORD)))
+    # Copies of some rows, shifted by steps >= 0: a zero shift is a duplicate
+    # row and any other shift a dominated one. Then the rows are shuffled.
+    k = data.draw(st.integers(0, len(pts)))
+    shift = data.draw(arrays(float, (k, m), elements=st.sampled_from([0.0, 0.25, 0.5])))
+    pts = np.concatenate([pts, pts[:k] + shift])
+    pts = pts[data.draw(st.permutations(range(len(pts))))]
+    r = np.ones(m)
+    got, want = exact_hv(pts, r), filter_first_hv(pts, r)
+    f3 = pts[np.all(pts < r, axis=1), -1]
+    if m == 2 or len(np.unique(f3)) == len(f3):
+        assert repr(got) == repr(want)
+    else:
+        # A point dominated by a later one with the same f3 is swept in
+        # before it is replaced, so the area is summed in another order.
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def point_major_r2(pts, r, dirs):

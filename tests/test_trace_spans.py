@@ -2,7 +2,8 @@
 read-only) against the package: every name it wraps must exist, or
 `benchmarks/run.py --trace 1` fails, and the problem and loss layers must
 be called once per batch, not once per sample; a GPSL batch makes one R2
-approximation and one R2 subgradient call."""
+approximation and one R2 subgradient call; a run draws its evaluation
+latents once, however often it evaluates."""
 
 import importlib.util
 from pathlib import Path
@@ -56,3 +57,21 @@ def test_two_r2_calls_per_gpsl_batch(spans):
     batches = cfg.iterations + 1
     assert tracer.calls["hv.r2"] == 2 * batches
     assert tracer.counts["hv.r2.points_in"] == cfg.batch_size * batches
+
+
+def _sampling_calls(spans, **overrides):
+    cfg = TrainConfig(problem="zdt3", algorithm="gpsl-l", iterations=6, batch_size=8,
+                      eval_samples=32, hidden_sizes=(8,), **overrides)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        train(cfg)
+    finally:
+        tracer.uninstall()
+    return tracer.calls["sampling"]
+
+
+def test_one_evaluation_draw_per_run(spans):
+    # Seven evaluation rows draw as often as two: the fixed-seed evaluation
+    # latents are drawn once and reused.
+    assert _sampling_calls(spans, eval_interval=1) == _sampling_calls(spans, eval_interval=6)
