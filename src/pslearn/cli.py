@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import statistics
@@ -108,7 +109,10 @@ def _atomic(path: Path, content) -> None:
     os.replace(tmp, path)
 
 
+@functools.lru_cache(maxsize=None)
 def _load_front(problem_name: str, front_path: str | None):
+    # Once per process: the serial tasks of a grid share one front, and so
+    # its normalization and hypervolume. A failed load raises and is not kept.
     problem = get_problem(problem_name)
     if front_path:
         return load_reference_front(front_path, m=problem.m)
@@ -173,7 +177,8 @@ def _build_tasks(settings: dict, arms) -> tuple[Path, list[dict]]:
 
     The ``TrainConfig`` overrides name the problem and the algorithm and take
     precedence over the shared settings. The directory is made only once
-    every task's ``TrainConfig`` has passed its checks.
+    every task's ``TrainConfig`` has passed its checks, its latent
+    dimension included.
     """
     seeds = settings.get("seeds", 11)
     if seeds < 1:
@@ -191,6 +196,8 @@ def _build_tasks(settings: dict, arms) -> tuple[Path, list[dict]]:
         for label, overrides in arms
         for seed in range(seeds)
     ]
+    for task in tasks:
+        task["config"].resolved_latent_dim(get_problem(task["config"].problem))
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir, tasks
 

@@ -155,6 +155,7 @@ def _hv_2d(pts: np.ndarray, r: np.ndarray) -> float:
 def _hv_3d(pts: np.ndarray, r: np.ndarray) -> float:
     # Sweep along f3 with the 2-D staircase of the points seen so far, adding
     # area * depth slabs; a skipped (dominated) point never splits a slab.
+    r0, r1, r2 = r.tolist()  # Python floats: numpy scalars make each step slow
     pts = pts[np.argsort(pts[:, 2], kind="stable")]
     xs: list[float] = []  # staircase x, strictly increasing
     ys: list[float] = []  # staircase y, strictly decreasing
@@ -169,21 +170,23 @@ def _hv_3d(pts: np.ndarray, r: np.ndarray) -> float:
             volume += area * (z - z_prev)
             z_prev = z
         lo, end = slot
-        x_right = xs[end] if end < len(xs) else r[0]
-        gain = (x_right - x) * (r[1] - y)
+        x_right = xs[end] if end < len(xs) else r0
+        gain = (x_right - x) * (r1 - y)
         for j in range(lo, end):
-            nxt = xs[j + 1] if j + 1 < len(xs) else r[0]
-            gain -= (nxt - xs[j]) * (r[1] - ys[j])
+            nxt = xs[j + 1] if j + 1 < len(xs) else r0
+            gain -= (nxt - xs[j]) * (r1 - ys[j])
         if lo > 0:
             # The left neighbour's slab used to end at the run's first x (or
             # at x_right when the run is empty); it now ends at x.
-            old_edge = xs[lo] if lo < len(xs) else r[0]
-            gain -= (old_edge - x) * (r[1] - ys[lo - 1])
+            old_edge = xs[lo] if lo < len(xs) else r0
+            gain -= (old_edge - x) * (r1 - ys[lo - 1])
         xs[lo:end] = [x]
         ys[lo:end] = [y]
         area += gain
-    volume += area * (r[2] - z_prev)
-    return volume
+    volume += area * (r2 - z_prev)
+    # np.float64, as when r's numpy scalars made it one: the metrics CSV
+    # writes hv cells by repr, and the stored digests hold `np.float64(...)`.
+    return np.float64(volume)
 
 
 def _hv_wfg(pts: np.ndarray, r: np.ndarray) -> float:

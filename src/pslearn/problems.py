@@ -118,14 +118,26 @@ class Problem:
 
 @dataclass(frozen=True)
 class ParetoFrontData:
-    """A non-dominated reference front in objective space."""
+    """A non-dominated reference front in objective space.
+
+    ``points`` is a read-only float64 copy, so what evaluation derives from
+    it once per ``ref_offset`` and keeps in ``normalized`` never goes stale.
+    """
 
     points: np.ndarray  # (n, m)
     source: str  # "analytic" | "file"
+    normalized: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.points.ndim != 2 or len(self.points) == 0:
+        points = np.array(self.points, dtype=np.float64)
+        if points.ndim != 2 or len(points) == 0:
             raise ValueError("front must be a non-empty (n, m) array")
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
+
+    def __reduce__(self):
+        # Through __init__, so a copy's points are read-only again.
+        return type(self), (self.points, self.source)
 
     @property
     def m(self) -> int:

@@ -364,10 +364,14 @@ def _batch_loss(params, latents, problem: Problem, extremes, loss):
 
 
 def _normalized_front(front: ParetoFrontData, ref_offset: float):
-    extremes = _RunningExtremes(front.m)
-    extremes.update(front.points)
-    r = np.full(front.m, ref_offset)
-    return extremes, r, exact_hv(extremes.normalize(front.points), r)
+    # The front's normalizer, r and exact HV: computed on first use per
+    # ref_offset and kept on the front, whose points are read-only.
+    if ref_offset not in front.normalized:
+        extremes = _RunningExtremes(front.m)
+        extremes.update(front.points)
+        r = np.full(front.m, ref_offset)
+        front.normalized[ref_offset] = extremes, r, exact_hv(extremes.normalize(front.points), r)
+    return front.normalized[ref_offset]
 
 
 def _hv_report(hv_true: float, hv_learned: float) -> HvReport:

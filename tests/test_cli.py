@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from pslearn import network as net
+from pslearn import cli, network as net, trainer
 from pslearn.cli import CONFIG_KEYS, _base_kwargs, _parse_config_file, main
 from pslearn.trainer import TrainConfig
 
@@ -378,6 +378,41 @@ class TestUnrunnableSettings:
         assert main([*command, "--seeds", "1", "--out", str(out), *FAST, "--iters", "0"]) == 1
         assert "iterations >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_rejected_latent_dim_leaves_no_directory(self, tmp_path, capsys):
+        # psl-tch samples the 2-simplex on zdt3; every task's latent
+        # dimension is checked before the output directory is made.
+        out = tmp_path / "Y"
+        assert main(["run", "--problem", "zdt3", "--algo", "psl-tch", "--latent-dim", "3",
+                     "--seeds", "1", "--out", str(out), *FAST]) == 1
+        assert "latent_dim 3 is not configurable" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestFrontSharing:
+    def test_serial_grid_loads_and_scores_one_front(self, tmp_path, monkeypatch):
+        loads = []
+        real_front = cli.pareto_front
+        monkeypatch.setattr(cli, "pareto_front", lambda p: loads.append(p.id) or real_front(p))
+        front_hvs = []
+        real_hv = trainer.exact_hv
+
+        def counting(points, ref):
+            front_hvs.append(len(points))
+            return real_hv(points, ref)
+
+        monkeypatch.setattr(trainer, "exact_hv", counting)
+        cli._load_front.cache_clear()
+        try:
+            assert main(["compare", "--problems", "zdt3", "--algos", "gpsl-g,psl-tch",
+                         "--seeds", "3", "--out", str(tmp_path), *FAST]) == 0
+            front = cli._load_front("zdt3", None)
+        finally:
+            cli._load_front.cache_clear()
+        assert loads == ["zdt3"]
+        assert front_hvs.count(len(front.points)) == 1
+        assert len(front_hvs) == 1 + 6 * (1 + 12 // 6)  # one front, 3 rows per run
 
 
 class TestOutputRootEnv:

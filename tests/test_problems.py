@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pslearn.problems import (
+    ParetoFrontData,
     Problem,
     available_problems,
     finite_difference_jacobian,
@@ -179,6 +180,17 @@ class TestFronts:
         assert len(nondominated_filter(front.points)) == len(front.points)
         assert front.points[:, 2].min() >= 2.0  # f3 >= ~2.6 on the optimal surface
         assert front.points[:, 2].max() <= 6.0
+
+    def test_points_are_a_read_only_copy(self):
+        source = np.array([[0.0, 1.0], [1.0, 0.0]])
+        front = ParetoFrontData(points=source, source="file")
+        source[0, 0] = 5.0
+        assert front.points[0, 0] == 0.0
+        assert front.points.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            front.points[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            pareto_front("zdt3", n=50).points += 1.0
 
     def test_engineering_problems_need_files(self):
         with pytest.raises(ValueError, match="load_reference_front"):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pslearn.network as net
+import pslearn.trainer as trainer
 
 from pslearn.problems import Problem, ParetoFrontData, get_problem, pareto_front, register_problem
 from pslearn.trainer import (
@@ -296,6 +297,63 @@ class TestEvaluateModel:
         assert below.epsilon_log == 0.0
         with pytest.raises(ValueError):
             _hv_report(0.8, 0.9)
+
+class TestFrontCache:
+    """A front's normalization and HV are computed once per ref_offset."""
+
+    @staticmethod
+    def count_front_hv(monkeypatch, front):
+        # Front-sized exact_hv calls; the learned sets here are smaller.
+        calls = []
+        real = trainer.exact_hv
+
+        def counting(points, ref):
+            if len(points) == len(front.points):
+                calls.append(np.asarray(ref).tolist())
+            return real(points, ref)
+
+        monkeypatch.setattr(trainer, "exact_hv", counting)
+        return calls
+
+    def test_front_hv_computed_once_per_ref_offset(self, monkeypatch):
+        prob = get_problem("zdt3")
+        cfg = TrainConfig(problem="zdt3", algorithm="gpsl-g", **TINY)
+        draw, _, _ = latent_sampler(cfg, prob)
+        front = pareto_front(prob)
+        calls = self.count_front_hv(monkeypatch, front)
+        result = train(cfg, front)
+        evaluate_model(result.params, prob, draw, front, n_eval=64)
+        evaluate_model(result.params, prob, draw, front, n_eval=64)
+        assert len(calls) == 1
+        evaluate_model(result.params, prob, draw, front, n_eval=64, ref_offset=1.2)
+        evaluate_model(result.params, prob, draw, front, n_eval=64, ref_offset=1.2)
+        assert calls == [[1.1, 1.1], [1.2, 1.2]]
+
+    @pytest.mark.parametrize("problem", ["zdt3", "dtlz5"])
+    def test_cached_report_equals_fresh_front(self, problem):
+        prob = get_problem(problem)
+        cfg = TrainConfig(problem=problem, algorithm="gpsl-g", **TINY)
+        params = train(cfg).params
+        draw, _, _ = latent_sampler(cfg, prob)
+        front = pareto_front(prob)
+        evaluate_model(params, prob, draw, front, n_eval=64)
+        cached = evaluate_model(params, prob, draw, front, n_eval=64)
+        fresh = evaluate_model(params, prob, draw, pareto_front(prob), n_eval=64)
+        assert repr(cached) == repr(fresh)
+        assert type(cached.hv_true) is type(fresh.hv_true)
+
+    def test_pickled_front_scores_the_same(self):
+        prob = get_problem("dtlz5")
+        cfg = TrainConfig(problem="dtlz5", algorithm="gpsl-g", **TINY)
+        front = pareto_front(prob)
+        params = train(cfg, front).params
+        draw, _, _ = latent_sampler(cfg, prob)
+        before = evaluate_model(params, prob, draw, front, n_eval=64)
+        loaded = pickle.loads(pickle.dumps(front))
+        assert not loaded.points.flags.writeable
+        np.testing.assert_array_equal(loaded.points, front.points)
+        assert repr(evaluate_model(params, prob, draw, loaded, n_eval=64)) == repr(before)
+
 
 class TestMetricsPlumbing:
     def test_strictly_increasing_iterations_enforced(self):
