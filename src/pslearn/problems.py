@@ -121,12 +121,15 @@ class ParetoFrontData:
     """A non-dominated reference front in objective space.
 
     ``points`` is a read-only float64 copy, so what evaluation derives from
-    it once per ``ref_offset`` and keeps in ``normalized`` never goes stale.
+    it once per ``ref_offset`` never goes stale.
     """
 
     points: np.ndarray  # (n, m)
     source: str  # "analytic" | "file"
-    normalized: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # Evaluation's normalizer, r and HV of the points per ref_offset; filled
+    # and read by trainer._normalized_front alone.
+    _scaled: dict[float, tuple] = field(default_factory=dict, init=False, compare=False,
+                                        repr=False)
 
     def __post_init__(self):
         points = np.array(self.points, dtype=np.float64)
@@ -134,10 +137,6 @@ class ParetoFrontData:
             raise ValueError("front must be a non-empty (n, m) array")
         points.flags.writeable = False
         object.__setattr__(self, "points", points)
-
-    def __reduce__(self):
-        # Through __init__, so a copy's points are read-only again.
-        return type(self), (self.points, self.source)
 
     @property
     def m(self) -> int:

@@ -365,13 +365,16 @@ def _batch_loss(params, latents, problem: Problem, extremes, loss):
 
 def _normalized_front(front: ParetoFrontData, ref_offset: float):
     # The front's normalizer, r and exact HV: computed on first use per
-    # ref_offset and kept on the front, whose points are read-only.
-    if ref_offset not in front.normalized:
+    # ref_offset and kept on the front, whose points are read-only. Every
+    # run scored on the front shares them, so r is read-only too.
+    scaled = front._scaled
+    if ref_offset not in scaled:
         extremes = _RunningExtremes(front.m)
         extremes.update(front.points)
         r = np.full(front.m, ref_offset)
-        front.normalized[ref_offset] = extremes, r, exact_hv(extremes.normalize(front.points), r)
-    return front.normalized[ref_offset]
+        r.flags.writeable = False
+        scaled[ref_offset] = extremes, r, exact_hv(extremes.normalize(front.points), r)
+    return scaled[ref_offset]
 
 
 def _hv_report(hv_true: float, hv_learned: float) -> HvReport:

