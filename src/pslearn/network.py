@@ -11,11 +11,19 @@ Latent inputs are standardised by a fixed affine transform stored with the
 parameters; this keeps the first layer well-scaled even when the latent
 distribution is centred far from the origin (e.g. box midpoints of problems
 with large-magnitude bounds) and is part of the model, not of the sampler.
+
+Evaluation maps its batch through the private ``_predict``: the same layer
+chain and bits as :func:`forward`, without a cache, written into buffers
+the calling thread keeps for its last batch shape. Only repeated scoring in
+one process reuses them: every evaluation row of a run and repeat
+``evaluate_model`` calls do, while ``pslearn eval``'s single call allocates
+as before.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import zipfile
 from dataclasses import dataclass, field, replace
 
@@ -159,11 +167,50 @@ def init_network(
     )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) is exactly exp(-z) where z >= 0 and exp(z) elsewhere, and
-    # never overflows.
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _sigmoid(z: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """The logistic function of ``z``, written into ``out`` (not ``z``).
+
+    ``scratch`` receives ``1 + exp(-|z|)``; it may be ``z`` itself when the
+    caller no longer needs ``z``. Either one defaults to a fresh array.
+    """
+    # e = exp(-|z|) is exactly exp(-z) where z >= 0 and exp(z) elsewhere, and
+    # never overflows, so sigmoid(z) is 1 / (1 + e) where z >= 0 and
+    # e / (1 + e) elsewhere. As 0 <= e <= 1, max(e, z >= 0) is that
+    # numerator without a masked loop; NaN fails z >= 0 and stays NaN.
+    pos = z >= 0
+    e = np.abs(z, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = np.add(1.0, e, out=scratch)
+    np.maximum(e, pos, out=e)
+    return np.divide(e, d, out=e)
+
+
+def _inputs(params: NetworkParams, v, lb, ub):
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 2 or v.shape[1] != params.layer_sizes[0]:
+        raise ValueError(
+            f"latent input has shape {v.shape}, expected (n, {params.layer_sizes[0]})"
+        )
+    if not np.all(np.isfinite(v)):
+        raise ValueError("latent input contains non-finite values")
+    return v, np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
+
+
+def _layers(params: NetworkParams, v: np.ndarray, out) -> None:
+    """Write layer l of the batch ``v`` into ``out[l]``, shape (n, layer_sizes[l]).
+
+    ``out[0]`` is the standardised input; the last entry is the output
+    layer before the sigmoid.
+    """
+    np.subtract(v, params.input_offset, out=out[0])
+    np.divide(out[0], params.input_scale, out=out[0])
+    n_layers = params.n_layers()
+    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = np.matmul(out[layer], w.T, out=out[layer + 1])
+        z += b
+        if layer < n_layers - 1:
+            np.maximum(z, 0.0, out=z)
 
 
 def forward(params: NetworkParams, v, lb, ub):
@@ -173,26 +220,40 @@ def forward(params: NetworkParams, v, lb, ub):
     Each output row depends only on its own input row. Returns
     ``(x, cache)`` where the cache holds everything :func:`backward` needs.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 2 or v.shape[1] != params.layer_sizes[0]:
-        raise ValueError(
-            f"latent input has shape {v.shape}, expected (n, {params.layer_sizes[0]})"
-        )
-    if not np.all(np.isfinite(v)):
-        raise ValueError("latent input contains non-finite values")
-    lb = np.asarray(lb, dtype=float)
-    ub = np.asarray(ub, dtype=float)
-
-    a = (v - params.input_offset) / params.input_scale
-    activations = [a]
-    n_layers = params.n_layers()
-    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w.T + b
-        a = np.maximum(z, 0.0) if layer < n_layers - 1 else z
-        activations.append(a)
-    sig = _sigmoid(a)
+    v, lb, ub = _inputs(params, v, lb, ub)
+    activations = [np.empty((len(v), size)) for size in params.layer_sizes]
+    _layers(params, v, activations)
+    sig = _sigmoid(activations[-1])
     x = lb + sig * (ub - lb)
     return x, {"activations": activations, "sigmoid": sig, "span": ub - lb}
+
+
+# The calling thread's buffers for _predict: one set, for the last
+# (n, layer_sizes) it saw.
+_pool = threading.local()
+
+
+def _predict(params: NetworkParams, v, lb, ub) -> np.ndarray:
+    """The ``x`` of :func:`forward`, bit for bit, without a cache.
+
+    Every layer and the output go to buffers the calling thread keeps for
+    its last batch shape, so repeated scoring allocates no (n, width)
+    arrays. The returned array is one of them: it is valid until this
+    thread's next call.
+    """
+    v, lb, ub = _inputs(params, v, lb, ub)
+    key = (len(v), params.layer_sizes)
+    if getattr(_pool, "key", None) != key:
+        _pool.key = _pool.buffers = None  # drop the old set before allocating
+        _pool.buffers = [np.empty((len(v), size))
+                         for size in (*params.layer_sizes, params.layer_sizes[-1])]
+        _pool.key = key
+    *layers, x = _pool.buffers
+    _layers(params, v, layers)
+    # The output layer is not needed after the sigmoid: it takes 1 + exp(-|z|).
+    _sigmoid(layers[-1], out=x, scratch=layers[-1])
+    np.multiply(x, ub - lb, out=x)
+    return np.add(lb, x, out=x)
 
 
 def backward(params: NetworkParams, cache, upstream):

@@ -363,6 +363,16 @@ def _batch_loss(params, latents, problem: Problem, extremes, loss):
 # Evaluation
 
 
+def _resolve_front(problem: Problem, front: ParetoFrontData | None) -> ParetoFrontData:
+    if front is not None:
+        if front.m != problem.m:
+            raise ValueError(
+                f"front has {front.m} objectives but {problem.id} has {problem.m}"
+            )
+        return front
+    return pareto_front(problem)
+
+
 def _normalized_front(front: ParetoFrontData, ref_offset: float):
     # The front's normalizer, r and exact HV: computed on first use per
     # ref_offset and kept on the front, whose points are read-only. Every
@@ -393,7 +403,7 @@ def _score(params, problem: Problem, latents, normalized) -> HvReport:
     # The one evaluation path: latents -> model -> objectives normalized by
     # the front's extremes -> exact hypervolume, which skips dominated points.
     extremes, r, hv_true = normalized
-    xs, _ = net.forward(params, latents, problem.lb, problem.ub)
+    xs = net._predict(params, latents, problem.lb, problem.ub)
     y = extremes.normalize(problem.evaluate_batch(xs))
     return _hv_report(hv_true, exact_hv(y, r))
 
@@ -412,25 +422,17 @@ def evaluate_model(
     Draws ``n_eval`` latent vectors from the algorithm's initial distribution
     with a fixed seed, maps them through the model, normalizes objectives by
     the front's componentwise extremes and compares exact hypervolumes (of
-    the non-dominated subset) at reference point (ref_offset, ...).
+    the non-dominated subset) at reference point (ref_offset, ...). A front
+    with another number of objectives than the problem raises ``ValueError``.
     """
     if n_eval < 1:
         raise ValueError("n_eval must be >= 1")
-    return _score(params, problem, sampler(n_eval, seed), _normalized_front(front, ref_offset))
+    normalized = _normalized_front(_resolve_front(problem, front), ref_offset)
+    return _score(params, problem, sampler(n_eval, seed), normalized)
 
 
 # ---------------------------------------------------------------------------
 # Training loops
-
-
-def _resolve_front(problem: Problem, front: ParetoFrontData | None) -> ParetoFrontData:
-    if front is not None:
-        if front.m != problem.m:
-            raise ValueError(
-                f"front has {front.m} objectives but {problem.id} has {problem.m}"
-            )
-        return front
-    return pareto_front(problem)
 
 
 def _train_loop(config: TrainConfig, problem: Problem, front: ParetoFrontData,

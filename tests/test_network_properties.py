@@ -1,5 +1,6 @@
 """Property tests of the network: the output sigmoid against the masked form
-kept here as the oracle, and the flat-vector Adam update: several steps
+kept here as the oracle, the pooled evaluation forward against
+:func:`forward`, and the flat-vector Adam update: several steps
 against a per-layer Adam kept here as the oracle, the layer named by a
 non-finite gradient, exact checkpoint round-trips of the flat optimizer
 state, and copies whose layers stay views of their own vector."""
@@ -52,6 +53,27 @@ def test_sigmoid_bits_equal_masked_oracle(z):
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sizes=st.lists(st.integers(1, 70), min_size=2, max_size=4).map(tuple),
+       n=st.integers(1, 1200), seed=st.integers(0, 2**16),
+       offset=st.floats(-1e3, 1e3), scale=st.floats(1e-3, 1e3),
+       lb=st.floats(-1e6, 1e6), span=st.floats(1e-6, 1e8),
+       gain=st.sampled_from([1.0, 1e2, 1e4]))
+def test_predict_bits_equal_forward(sizes, n, seed, offset, scale, lb, span, gain):
+    rng = np.random.default_rng(seed)
+    k, d = sizes[0], sizes[-1]
+    params = net.init_network(sizes, seed, input_offset=offset + rng.normal(size=k),
+                              input_scale=scale * rng.uniform(0.5, 2.0, size=k))
+    params.flat *= gain  # large gains saturate the output sigmoid
+    v = offset + scale * rng.normal(size=(n, k))
+    lbs = lb + rng.uniform(-1.0, 1.0, size=d)
+    ubs = lbs + span * rng.uniform(0.5, 1.0, size=d)
+    want, _ = net.forward(params, v, lbs, ubs)
+    got = net._predict(params, v, lbs, ubs)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def per_layer_adam(weights, biases, grads, state):

@@ -4,6 +4,8 @@ frozen normalization state."""
 
 import math
 import pickle
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +289,15 @@ class TestEvaluateModel:
         expected = float(np.prod(1.1 - y_norm))
         assert report.hv_learned == pytest.approx(expected, rel=1e-9)
 
+    def test_front_with_other_objective_count_rejected(self):
+        prob = get_problem("dtlz5")
+        cfg = TrainConfig(problem="dtlz5", algorithm="gpsl-g")
+        draw, _, _ = latent_sampler(cfg, prob)
+        params = net.init_network((cfg.resolved_latent_dim(prob), 8, prob.d), seed=0)
+        zdt3_front = pareto_front(get_problem("zdt3"))
+        with pytest.raises(ValueError, match="^front has 2 objectives but dtlz5 has 3$"):
+            evaluate_model(params, prob, draw, zdt3_front, n_eval=16)
+
     def test_epsilon_rule(self):
         from pslearn.trainer import _hv_report
 
@@ -355,6 +366,79 @@ class TestFrontCache:
         loaded = pickle.loads(pickle.dumps(front))
         np.testing.assert_array_equal(loaded.points, front.points)
         assert repr(evaluate_model(params, prob, draw, loaded, n_eval=64)) == repr(before)
+
+
+class TestScoringBuffers:
+    """Evaluation runs the model through buffers each thread keeps for its
+    last batch shape; no score may see another's values."""
+
+    @staticmethod
+    def scoring_job(problem, n, seed, hidden_sizes=(64, 64)):
+        # Trained long enough that zdt3's learned HV is above 0.
+        prob = get_problem(problem)
+        cfg = TrainConfig(problem=problem, algorithm="gpsl-g", seed=seed, iterations=120,
+                          eval_interval=120, hidden_sizes=hidden_sizes)
+        draw, _, _ = latent_sampler(cfg, prob)
+        normalized = trainer._normalized_front(pareto_front(prob), cfg.ref_offset)
+        return train(cfg).params, prob, draw(n, seed), normalized
+
+    def test_warm_score_allocates_less_than_one_layer(self):
+        job = self.scoring_job("zdt3", 1000, 0)
+        trainer._score(*job)  # allocates this thread's buffers
+        tracemalloc.start()
+        try:
+            trainer._score(*job)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * 64 * 8  # one (1000, 64) float64 layer
+
+    def test_training_on_other_shapes_in_between_changes_no_csv(self, tmp_path):
+        def run(problem, name):
+            cfg = TrainConfig(problem=problem, algorithm="gpsl-g", iterations=120,
+                              eval_interval=20)
+            write_metrics_csv(train(cfg).metrics, tmp_path / name)
+            return (tmp_path / name).read_bytes()
+
+        first = run("zdt3", "first.csv")
+        run("dtlz5", "between.csv")
+        assert run("zdt3", "again.csv") == first
+
+    @pytest.mark.parametrize("second", [("dtlz5", 700, 3, (32, 48)), ("zdt3", 1000, 2)],
+                             ids=["other-shape", "same-shape"])
+    def test_threads_keep_their_own_buffers(self, second, monkeypatch):
+        # The first thread holds its model output while the second scores.
+        jobs = [self.scoring_job("zdt3", 1000, 1), self.scoring_job(*second)]
+        serial = [repr(trainer._score(*job)) for job in jobs]
+        assert serial[0] != serial[1]
+        holding, second_done = threading.Event(), threading.Event()
+        predict = net._predict
+
+        def holding_predict(*args):
+            x = predict(*args)
+            if threading.current_thread() is threads[0]:
+                holding.set()
+                second_done.wait(timeout=30)
+            return x
+
+        monkeypatch.setattr(net, "_predict", holding_predict)
+        scores = [None, None]
+
+        def score(i):
+            try:
+                if i == 1:
+                    holding.wait(timeout=30)
+                scores[i] = repr(trainer._score(*jobs[i]))
+            finally:
+                second_done.set()
+
+        threads = [threading.Thread(target=score, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert scores == serial
 
 
 class TestMetricsPlumbing:
