@@ -178,7 +178,7 @@ def _build_tasks(settings: dict, arms) -> tuple[Path, list[dict]]:
     The ``TrainConfig`` overrides name the problem and the algorithm and take
     precedence over the shared settings. The directory is made only once
     every task's ``TrainConfig`` has passed its checks, its latent
-    dimension included.
+    dimension included, and every problem's reference front has loaded.
     """
     seeds = settings.get("seeds", 11)
     if seeds < 1:
@@ -198,6 +198,7 @@ def _build_tasks(settings: dict, arms) -> tuple[Path, list[dict]]:
     ]
     for task in tasks:
         task["config"].resolved_latent_dim(get_problem(task["config"].problem))
+        _load_front(task["config"].problem, task["front"])
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir, tasks
 

@@ -9,11 +9,16 @@ Provides non-dominated filtering, exact hypervolume (dimension sweeps for
 2-D/3-D, recursive exclusive-volume computation for higher dimensions), a
 direction-decomposed hypervolume approximation with its subgradient, and the
 log hypervolume-difference convergence metric.
+
+For three objectives the filter and the exact hypervolume run one loop, the
+staircase sweep of Beume et al. (2009): a pass in sorted order over Python
+float columns, with one bisection per point into two Python lists.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -80,34 +85,66 @@ def _keep_2d(pts: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _staircase_slot(xs: list, ys: list, x: float, y: float):
-    # Staircase: xs strictly increasing, ys strictly decreasing. Returns None
-    # when some step weakly dominates (x, y); otherwise the slice [lo, end)
-    # of the steps that (x, y) weakly dominates, a contiguous run from lo,
-    # which (x, y) replaces.
-    hi = bisect.bisect_right(xs, x)
-    if hi > 0 and ys[hi - 1] <= y:
-        return None
-    lo = bisect.bisect_left(xs, x)
-    end = lo
-    while end < len(xs) and ys[end] >= y:
-        end += 1
-    return lo, end
+def _staircase_sweep(xcol: list, ycol: list, zcol: list, r, kept: list | None) -> float:
+    # One pass over points given as columns, in order of non-decreasing z,
+    # keeping the staircase of the (x, y) minima of the points so far (Beume
+    # et al.): xs strictly increasing, ys strictly decreasing. A point that
+    # some step weakly dominates is skipped; any other replaces the run of
+    # steps it weakly dominates, a contiguous run from its own slot lo. The
+    # staircase's area up to (r0, r1) changes by `gain`, and the volume adds
+    # area * depth slabs up to r2. Appends each point's index to `kept`
+    # (when given) if it is not skipped. r enters only the volume's
+    # arithmetic, never which points are skipped.
+    r0, r1, r2 = r
+    xs: list[float] = []
+    ys: list[float] = []
+    area = 0.0
+    volume = 0.0
+    z_prev = zcol[0] if zcol else r2  # no points: no volume
+    for i, x, y, z in zip(itertools.count(), xcol, ycol, zcol):
+        lo = bisect.bisect_right(xs, x)
+        if lo:
+            if ys[lo - 1] <= y:
+                continue  # weakly dominated in the (x, y) projection
+            if xs[lo - 1] == x:
+                lo -= 1
+        if kept is not None:
+            kept.append(i)
+        if z > z_prev:
+            volume += area * (z - z_prev)
+            z_prev = z
+        n = len(xs)
+        end = lo
+        while end < n and ys[end] >= y:
+            end += 1
+        gain = ((xs[end] if end < n else r0) - x) * (r1 - y)
+        for j in range(lo, end):
+            gain -= ((xs[j + 1] if j + 1 < n else r0) - xs[j]) * (r1 - ys[j])
+        if lo:
+            # The left neighbour's slab used to end at the run's first x (or
+            # at the next step when the run is empty); it now ends at x.
+            gain -= ((xs[lo] if lo < n else r0) - x) * (r1 - ys[lo - 1])
+        if end == lo:
+            xs.insert(lo, x)
+            ys.insert(lo, y)
+        else:
+            xs[lo] = x
+            ys[lo] = y
+            if end > lo + 1:
+                del xs[lo + 1 : end], ys[lo + 1 : end]
+        area += gain
+    volume += area * (r2 - z_prev)
+    return volume
 
 
 def _keep_3d(pts: np.ndarray) -> np.ndarray:
-    # Staircase of the (f2, f3) minima of the earlier rows (Beume et al.).
+    # Staircase of the (f2, f3) minima of the earlier rows; the sweep's
+    # volume is not needed, so its reference point is arbitrary.
+    kept: list[int] = []
+    _staircase_sweep(pts[:, 1].tolist(), pts[:, 2].tolist(), pts[:, 0].tolist(),
+                     (0.0, 0.0, 0.0), kept)
     keep = np.zeros(len(pts), dtype=bool)
-    xs: list[float] = []
-    ys: list[float] = []
-    for i, (x, y) in enumerate(pts[:, 1:].tolist()):
-        slot = _staircase_slot(xs, ys, x, y)
-        if slot is None:
-            continue
-        keep[i] = True
-        lo, end = slot
-        xs[lo:end] = [x]
-        ys[lo:end] = [y]
+    keep[kept] = True
     return keep
 
 
@@ -135,9 +172,11 @@ def nondominated_filter(points) -> np.ndarray:
     containing NaN are all kept: such a row is never dominated, dominates
     nothing and equals no other row.
 
-    The rows are sorted lexicographically and swept in O(n log n): a running
-    minimum for m=2, a 2-D staircase searched by bisection for m=3 (a Python
-    list, so an insertion also shifts up to n references). Other m use the
+    The rows are sorted lexicographically and swept: a running minimum for
+    m=2 in O(n log n); for m=3 the staircase loop that ``exact_hv`` also
+    runs, with the (f2, f3) minima of the earlier rows in two Python lists
+    searched by one bisection per row, so a row costs O(log n) comparisons
+    plus the list shift of an insertion or deletion. Other m use the
     O(n^2 m) pairwise definition check. Every path returns the same array.
     """
     pts = _as_points(points)
@@ -153,37 +192,12 @@ def _hv_2d(pts: np.ndarray, r: np.ndarray) -> float:
 
 
 def _hv_3d(pts: np.ndarray, r: np.ndarray) -> float:
-    # Sweep along f3 with the 2-D staircase of the points seen so far, adding
-    # area * depth slabs; a skipped (dominated) point never splits a slab.
-    r0, r1, r2 = r.tolist()  # Python floats: numpy scalars make each step slow
+    # Sweep along f3 with the (f1, f2) staircase; a skipped (dominated)
+    # point never splits a slab. Python floats throughout: numpy scalars
+    # make each step slow.
     pts = pts[np.argsort(pts[:, 2], kind="stable")]
-    xs: list[float] = []  # staircase x, strictly increasing
-    ys: list[float] = []  # staircase y, strictly decreasing
-    area = 0.0
-    volume = 0.0
-    z_prev = float(pts[0, 2])
-    for x, y, z in pts.tolist():
-        slot = _staircase_slot(xs, ys, x, y)
-        if slot is None:
-            continue  # weakly dominated in the (f1, f2) projection
-        if z > z_prev:
-            volume += area * (z - z_prev)
-            z_prev = z
-        lo, end = slot
-        x_right = xs[end] if end < len(xs) else r0
-        gain = (x_right - x) * (r1 - y)
-        for j in range(lo, end):
-            nxt = xs[j + 1] if j + 1 < len(xs) else r0
-            gain -= (nxt - xs[j]) * (r1 - ys[j])
-        if lo > 0:
-            # The left neighbour's slab used to end at the run's first x (or
-            # at x_right when the run is empty); it now ends at x.
-            old_edge = xs[lo] if lo < len(xs) else r0
-            gain -= (old_edge - x) * (r1 - ys[lo - 1])
-        xs[lo:end] = [x]
-        ys[lo:end] = [y]
-        area += gain
-    volume += area * (r2 - z_prev)
+    volume = _staircase_sweep(pts[:, 0].tolist(), pts[:, 1].tolist(), pts[:, 2].tolist(),
+                              r.tolist(), None)
     # np.float64, as when r's numpy scalars made it one: the metrics CSV
     # writes hv cells by repr, and the stored digests hold `np.float64(...)`.
     return np.float64(volume)

@@ -70,7 +70,9 @@ def sample_gaussian(k: int, center, n: int, seed) -> np.ndarray:
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     center = np.broadcast_to(np.asarray(center, dtype=float), (k,))
-    return _rng(seed).standard_normal((n, k)) + center
+    z = _rng(seed).standard_normal((n, k))
+    z += center  # in place: one (n, k) array, the same sum
+    return z
 
 
 def sample_lhs(k: int, lb, ub, n: int, seed) -> np.ndarray:

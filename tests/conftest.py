@@ -5,6 +5,8 @@ definition checks, Monte Carlo volume, central differences) so they stay
 independent of the library code they validate.
 """
 
+import bisect
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,79 @@ def monte_carlo_hv(points, ref, n_samples: int, seed: int):
     frac = hits / n_samples
     stderr = box * np.sqrt(max(frac * (1.0 - frac), 1e-12) / n_samples)
     return frac * box, stderr
+
+
+# The 3-D staircase as a helper call per point, frozen from the package
+# before its filter and hypervolume shared one inlined loop. The inlined loop
+# must skip, keep and sum exactly as these do, down to the last bit.
+
+
+def staircase_slot_reference(xs: list, ys: list, x: float, y: float):
+    """None when a step of the staircase (xs strictly increasing, ys strictly
+    decreasing) weakly dominates (x, y); otherwise the slice [lo, end) of the
+    steps that (x, y) weakly dominates, which (x, y) replaces."""
+    hi = bisect.bisect_right(xs, x)
+    if hi > 0 and ys[hi - 1] <= y:
+        return None
+    lo = bisect.bisect_left(xs, x)
+    end = lo
+    while end < len(xs) and ys[end] >= y:
+        end += 1
+    return lo, end
+
+
+def keep_3d_reference(pts: np.ndarray) -> np.ndarray:
+    """Keep-mask of distinct NaN-free 3-column rows in lexicographic order."""
+    keep = np.zeros(len(pts), dtype=bool)
+    xs: list = []
+    ys: list = []
+    for i, (x, y) in enumerate(pts[:, 1:].tolist()):
+        slot = staircase_slot_reference(xs, ys, x, y)
+        if slot is None:
+            continue
+        keep[i] = True
+        lo, end = slot
+        xs[lo:end] = [x]
+        ys[lo:end] = [y]
+    return keep
+
+
+def hv_3d_reference(pts: np.ndarray, r: np.ndarray):
+    """Exact 3-D hypervolume of points strictly inside the box of r."""
+    r0, r1, r2 = r.tolist()
+    pts = pts[np.argsort(pts[:, 2], kind="stable")]
+    xs: list = []
+    ys: list = []
+    area = 0.0
+    volume = 0.0
+    z_prev = float(pts[0, 2])
+    for x, y, z in pts.tolist():
+        slot = staircase_slot_reference(xs, ys, x, y)
+        if slot is None:
+            continue
+        if z > z_prev:
+            volume += area * (z - z_prev)
+            z_prev = z
+        lo, end = slot
+        x_right = xs[end] if end < len(xs) else r0
+        gain = (x_right - x) * (r1 - y)
+        for j in range(lo, end):
+            nxt = xs[j + 1] if j + 1 < len(xs) else r0
+            gain -= (nxt - xs[j]) * (r1 - ys[j])
+        if lo > 0:
+            old_edge = xs[lo] if lo < len(xs) else r0
+            gain -= (old_edge - x) * (r1 - ys[lo - 1])
+        xs[lo:end] = [x]
+        ys[lo:end] = [y]
+        area += gain
+    volume += area * (r2 - z_prev)
+    return np.float64(volume)
+
+
+def exact_hv_3d_reference(pts: np.ndarray, r: np.ndarray):
+    """``exact_hv`` for m = 3 through :func:`hv_3d_reference`."""
+    inside = pts[np.all(pts < r, axis=1)]
+    return hv_3d_reference(inside, r) if len(inside) else 0.0
 
 
 def central_difference_gradient(fn, x, eps: float = 1e-6) -> np.ndarray:

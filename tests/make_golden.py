@@ -1,13 +1,17 @@
 """Golden digests of a fixed training matrix, the tier-1 check for "same numbers".
 
 Each run of :data:`MATRIX` is hashed four ways (sha256): the metrics-CSV
-bytes, the final ``params.flat`` and the Adam moments ``m`` and ``v``.
-``tests/test_golden.py`` recomputes them and compares with ``golden.json``.
+bytes, the final ``params.flat`` and the Adam moments ``m`` and ``v``. Beside
+the digests it records the run's final ``hv_learned`` and
+``log_hv_difference`` (the ``repr`` of each as a float), so a moved digest
+comes with how far the result moved. ``tests/test_golden.py`` recomputes
+them and compares with ``golden.json``.
 
 Run ``python tests/make_golden.py`` (with ``src`` on ``PYTHONPATH``) to
 rewrite ``golden.json`` after a deliberate change of numbers; it prints every
-entry that changed, and each one needs a line in ``CHANGES.md`` saying why.
-The digests hold for one numpy and BLAS build, which the file records.
+entry that changed, with ``old -> new (|Δ| d)`` for each final value, and
+each one needs a line in ``CHANGES.md`` saying why. The digests hold for one
+numpy and BLAS build, which the file records.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ from pslearn.trainer import ALGORITHMS, TrainConfig, train, write_metrics_csv
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 PROBLEMS = ("zdt3", "dtlz5", "dtlz7")
 SEED = 3
+
+# The final values recorded beside the digests.
+VALUES = ("hv_learned", "log_hv_difference")
 
 # (problem, algorithm, hv_batch_as_set): every algorithm on every problem,
 # plus gpsl-g scoring each sample as its own set.
@@ -54,11 +61,13 @@ def run_digests(problem: str, algorithm: str, batch_as_set: bool, workdir: Path)
     result = train(config)
     csv_path = workdir / "metrics.csv"
     write_metrics_csv(result.metrics, csv_path)
+    final = result.metrics.final()
     return {
         "csv": _sha256(csv_path.read_bytes()),
         "params": _sha256(result.params.flat.tobytes()),
         "adam_m": _sha256(result.adam_state.m.tobytes()),
         "adam_v": _sha256(result.adam_state.v.tobytes()),
+        **{name: repr(float(getattr(final, name))) for name in VALUES},
     }
 
 
@@ -68,14 +77,22 @@ def compute() -> dict:
         return {run_key(*run): run_digests(*run, Path(tmp)) for run in MATRIX}
 
 
+def _moved(name: str, was: str | None, now: str | None) -> str:
+    """``name old -> new (|Δ| d)``; a value missing on one side reads ``-``."""
+    delta = "" if was is None or now is None else f" (|Δ| {abs(float(now) - float(was))!r})"
+    return f"{name} {was or '-'} -> {now or '-'}{delta}"
+
+
 def changed_entries(old: dict, new: dict) -> list[str]:
-    """One ``run: fields`` line per run whose digests differ, are new or are gone."""
+    """One line per run whose entries differ, are new or are gone: the
+    changed fields, then how far each final value moved."""
     lines = []
     for key in sorted(old.keys() | new.keys()):
         was, now = old.get(key, {}), new.get(key, {})
         fields = [f for f in sorted(was.keys() | now.keys()) if was.get(f) != now.get(f)]
         if fields:
-            lines.append(f"{key}: {', '.join(fields)}")
+            moves = "; ".join(_moved(name, was.get(name), now.get(name)) for name in VALUES)
+            lines.append(f"{key}: {', '.join(fields)}; {moves}")
     return lines
 
 

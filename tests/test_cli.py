@@ -132,14 +132,17 @@ class TestCompare:
         assert (seq / "compare.csv").read_bytes() == (par / "compare.csv").read_bytes()
 
     def test_aborted_grid_keeps_completed_run_files_valid(self, tmp_path):
-        # four_bar_truss has no analytic front and no --front is given, so its
-        # first run raises after the zdt3 runs completed; those files must be
-        # complete and parseable, with no temp litter.
+        # At this learning rate and these settings psl-tch seed 0 finishes and
+        # then gpsl-g seed 0 diverges at iteration 8, which ends the grid; the
+        # finished run's files must be complete and parseable, with no temp
+        # litter.
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text("learning_rate = 0.15\n")
         out = tmp_path / "out"
-        rc = main(["compare", "--problems", "zdt3,four_bar_truss", "--algos", "gpsl-g",
-                   "--seeds", "1", "--out", str(out), *FAST])
+        rc = main(["compare", "--problems", "zdt3", "--algos", "psl-tch,gpsl-g",
+                   "--seeds", "1", "--config", str(cfg), "--out", str(out), *FAST])
         assert rc == 1
-        done = out / "zdt3_gpsl-g_seed0.csv"
+        done = out / "zdt3_psl-tch_seed0.csv"
         assert done.exists()
         lines = done.read_text().strip().splitlines()
         assert lines[0] == "iteration,loss,hv_learned,hv_true,log_hv_difference"
@@ -387,6 +390,19 @@ class TestUnrunnableSettings:
         assert main(["run", "--problem", "zdt3", "--algo", "psl-tch", "--latent-dim", "3",
                      "--seeds", "1", "--out", str(out), *FAST]) == 1
         assert "latent_dim 3 is not configurable" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--problem", "four_bar_truss", "--algo", "gpsl-g"],
+        ["compare", "--problems", "zdt3,four_bar_truss", "--algos", "gpsl-g"],
+    ], ids=["run", "compare"])
+    def test_problem_without_front_leaves_no_directory(self, tmp_path, capsys, command):
+        # four_bar_truss has no analytic front and no --front is given; every
+        # problem's front is loaded before the output directory is made.
+        out = tmp_path / "Z"
+        assert main([*command, "--seeds", "1", "--out", str(out), *FAST]) == 1
+        assert "four_bar_truss has no analytic reference front" in capsys.readouterr().err
         assert not out.exists()
 
 

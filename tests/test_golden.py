@@ -1,8 +1,10 @@
-"""Every run of the golden matrix reproduces its recorded digests bit for bit.
+"""Every run of the golden matrix reproduces its recorded digests and final
+values bit for bit.
 
-A failure means a number moved. If the change is deliberate, rebuild the
-file with ``python tests/make_golden.py`` and say in ``CHANGES.md`` why each
-printed entry changed.
+A failure means a number moved; the message says for each run which entries
+changed and how far its final values moved. If the change is deliberate,
+rebuild the file with ``python tests/make_golden.py`` and say in
+``CHANGES.md`` why each printed entry changed.
 """
 
 import json
@@ -21,3 +23,19 @@ def test_digests_match_golden_file():
     )
     changed = changed_entries(golden["runs"], compute())
     assert not changed, "digests changed:\n" + "\n".join(changed)
+
+
+def test_report_says_how_far_each_final_value_moved():
+    same = {"csv": "c0", "params": "p0", "hv_learned": "0.5", "log_hv_difference": "-2.0"}
+    old = {"zdt3/gpsl-g": same, "zdt3/cosmos": same}
+    new = {
+        "zdt3/gpsl-g": {**same, "csv": "c1", "hv_learned": "0.25", "log_hv_difference": "-1.5"},
+        "zdt3/cosmos": same,
+        "dtlz5/cosmos": same,
+    }
+    assert changed_entries(old, new) == [
+        "dtlz5/cosmos: csv, hv_learned, log_hv_difference, params; "
+        "hv_learned - -> 0.5; log_hv_difference - -> -2.0",
+        "zdt3/gpsl-g: csv, hv_learned, log_hv_difference; "
+        "hv_learned 0.5 -> 0.25 (|Δ| 0.25); log_hv_difference -2.0 -> -1.5 (|Δ| 0.5)",
+    ]

@@ -1,6 +1,7 @@
 """Property tests of the sorted non-dominated filter against the pairwise
 definition check and the brute-force oracle, of the exact hypervolume sweeps
-against the filter-first path they replaced, and of the objective-major
+against the filter-first path they replaced, of the 3-D staircase loop
+against its frozen per-point-helper version, and of the objective-major
 R2 ratio tensor against the point-major layout it replaced."""
 
 import numpy as np
@@ -22,10 +23,11 @@ from pslearn.hv import (
     r2_hv_approx,
     r2_hv_subgradient,
 )
+from pslearn import trainer
 from pslearn.sampling import das_dennis
-from pslearn.trainer import _hv_loss
+from pslearn.trainer import TrainConfig, _hv_loss, train
 
-from conftest import brute_force_nondominated
+from conftest import brute_force_nondominated, exact_hv_3d_reference, keep_3d_reference
 
 
 def dense_filter(points):
@@ -108,6 +110,50 @@ def test_sweeps_skip_what_the_filter_drops(m, data):
         # A point dominated by a later one with the same f3 is swept in
         # before it is replaced, so the area is summed in another order.
         assert got == pytest.approx(want, rel=1e-12)
+
+
+# Sets of up to 400 rows, filled by numpy from a drawn seed: drawing each
+# coordinate through hypothesis would cost tens of seconds per run.
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 300), tie_frac=st.sampled_from([0.0, 0.5, 1.0]),
+       copies=st.integers(0, 100), seed=st.integers(0, 2**32 - 1))
+def test_staircase_loop_equals_frozen_reference(n, tie_frac, copies, seed):
+    rng = np.random.default_rng(seed)
+    # Quarter steps make ties in single coordinates and put points on or past
+    # the reference point; the other coordinates are floats that round.
+    pts = np.where(rng.random((n, 3)) < tie_frac, rng.integers(0, 6, (n, 3)) / 4.0,
+                   rng.uniform(0.0, 1.2, (n, 3)))
+    # Duplicated rows (zero shift) and dominated ones (positive shifts),
+    # then the rows are shuffled.
+    k = min(copies, n)
+    pts = np.concatenate([pts, pts[:k] + rng.choice([0.0, 0.25, 0.5], (k, 3))])
+    pts = pts[rng.permutation(len(pts))]
+    for r in (np.ones(3), np.full(3, 1.1)):
+        got, want = exact_hv(pts, r), exact_hv_3d_reference(pts, r)
+        assert type(got) is type(want)
+        assert repr(got) == repr(want)
+    np.testing.assert_array_equal(nondominated_filter(pts), _filter_rows(pts, keep_3d_reference))
+
+
+@pytest.mark.parametrize("problem", ["dtlz5", "dtlz7"])
+def test_staircase_loop_equals_frozen_reference_on_learned_sets(problem, monkeypatch):
+    sets = []
+    real_hv = trainer.exact_hv
+
+    def capture(points, ref):
+        sets.append((np.array(points), np.array(ref)))
+        return real_hv(points, ref)
+
+    monkeypatch.setattr(trainer, "exact_hv", capture)
+    train(TrainConfig(problem=problem, algorithm="gpsl-g", iterations=60,
+                      eval_interval=20, seed=0))
+    assert len(sets) == 5  # the front and four evaluations of 1000 points
+    for pts, r in sets:
+        got, want = exact_hv(pts, r), exact_hv_3d_reference(pts, r)
+        assert type(got) is type(want)
+        assert repr(got) == repr(want)
+        np.testing.assert_array_equal(nondominated_filter(pts),
+                                      _filter_rows(pts, keep_3d_reference))
 
 
 def point_major_r2(pts, r, dirs):

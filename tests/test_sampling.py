@@ -2,6 +2,7 @@
 Latin hypercube stratification, and simplex-lattice direction properties."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,25 @@ class TestGaussian:
             sample_gaussian(0, (), 3, seed=0)
         with pytest.raises(ValueError):
             sample_gaussian(2, (0, 0), 0, seed=0)
+
+    @pytest.mark.parametrize("center", [0.5, (-1.0, 0.0, 2.5)])
+    def test_bits_equal_draw_plus_center(self, center):
+        want = np.random.default_rng(9).standard_normal((40, 3)) + center
+        assert sample_gaussian(3, center, 40, seed=9).tobytes() == want.tobytes()
+
+    def test_draw_holds_one_array(self):
+        # The center is added in place, so a draw never holds a second (n, k)
+        # array; the rest of the peak is the generator's own state.
+        center = np.linspace(-1.0, 1.0, 30)
+        sample_gaussian(30, center, 1000, seed=4)  # warm-up
+        tracemalloc.start()
+        try:
+            sample_gaussian(30, center, 1000, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one_array = 1000 * 30 * 8
+        assert peak < 1.5 * one_array
 
 
 class TestLhs:
