@@ -131,7 +131,7 @@ class TestCompare:
         assert main([*base, "--out", str(par), "--workers", "2"]) == 0
         assert (seq / "compare.csv").read_bytes() == (par / "compare.csv").read_bytes()
 
-    def test_aborted_grid_keeps_completed_run_files_valid(self, tmp_path):
+    def test_aborted_grid_keeps_completed_run_files_valid(self, tmp_path, capsys):
         # At this learning rate and these settings psl-tch seed 0 finishes and
         # then gpsl-g seed 0 diverges at iteration 8, which ends the grid; the
         # finished run's files must be complete and parseable, with no temp
@@ -142,6 +142,7 @@ class TestCompare:
         rc = main(["compare", "--problems", "zdt3", "--algos", "psl-tch,gpsl-g",
                    "--seeds", "1", "--config", str(cfg), "--out", str(out), *FAST])
         assert rc == 1
+        assert "seed 0: non-finite gradient at iteration 8" in capsys.readouterr().err
         done = out / "zdt3_psl-tch_seed0.csv"
         assert done.exists()
         lines = done.read_text().strip().splitlines()
@@ -391,7 +392,6 @@ class TestUnrunnableSettings:
                      "--seeds", "1", "--out", str(out), *FAST]) == 1
         assert "latent_dim 3 is not configurable" in capsys.readouterr().err
         assert not out.exists()
-
 
     @pytest.mark.parametrize("command", [
         ["run", "--problem", "four_bar_truss", "--algo", "gpsl-g"],

@@ -120,9 +120,10 @@ def test_sweeps_skip_what_the_filter_drops(m, data):
 def test_staircase_loop_equals_frozen_reference(n, tie_frac, copies, seed):
     rng = np.random.default_rng(seed)
     # Quarter steps make ties in single coordinates and put points on or past
-    # the reference point; the other coordinates are floats that round.
-    pts = np.where(rng.random((n, 3)) < tie_frac, rng.integers(0, 6, (n, 3)) / 4.0,
-                   rng.uniform(0.0, 1.2, (n, 3)))
+    # the reference point; the other coordinates are floats that round. Some
+    # are negative, as normalized objectives below the front's minimum are.
+    pts = np.where(rng.random((n, 3)) < tie_frac, rng.integers(-1, 6, (n, 3)) / 4.0,
+                   rng.uniform(-0.25, 1.2, (n, 3)))
     # Duplicated rows (zero shift) and dominated ones (positive shifts),
     # then the rows are shuffled.
     k = min(copies, n)
