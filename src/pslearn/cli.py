@@ -138,7 +138,9 @@ def _run_one(task: dict) -> dict:
     _atomic(csv_path, lambda p: write_metrics_csv(result.metrics, p))
 
     ckpt_path = out_dir / f"{stem}.ckpt.npz"
-    seeds = {"train_seed": config.seed, "eval_seed": config.eval_seed}
+    # `eval` checks its --problem and --algo against the recorded ones.
+    seeds = {"train_seed": config.seed, "eval_seed": config.eval_seed,
+             "problem": config.problem, "algorithm": config.algorithm}
     _atomic(ckpt_path, lambda p: net.save_checkpoint(p, result.params, result.adam_state, seeds))
 
     final = result.metrics.final()
@@ -350,6 +352,10 @@ def cmd_eval(parser, args) -> int:
         parser.error("eval requires --problem and --algo")
     _validate_names(parser, [problem_name], [algorithm])
     params, _, seeds = net.load_checkpoint(args.checkpoint)
+    # Checkpoints from before the record, or from outside the CLI, lack it.
+    for key, given in (("problem", problem_name), ("algorithm", algorithm)):
+        if seeds.get(key, given) != given:
+            raise ValueError(f"{args.checkpoint}: trained with {key} {seeds[key]!r}, not {given!r}")
     problem = get_problem(problem_name)
     front = _load_front(problem_name, settings.get("front"))
     config = TrainConfig(**_base_kwargs(settings))

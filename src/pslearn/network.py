@@ -4,6 +4,8 @@ gradients and an Adam optimizer.
 
 The model works on batches only: :func:`forward` maps (n, k) latent vectors
 to (n, d) decision vectors, and :func:`backward` takes the (n, d) gradient.
+Parameters, gradients, Adam moments and checkpoints share one layout: a
+flat float64 vector holding w0, b0, w1, b1, ... layer by layer.
 
 The output layer applies ``x = lb + sigmoid(z) * (ub - lb)``, so every output
 lies strictly inside the bounds and no downstream clipping is ever needed.
@@ -25,7 +27,9 @@ from __future__ import annotations
 import json
 import threading
 import zipfile
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -43,21 +47,22 @@ __all__ = [
 ]
 
 
+def _layer_offsets(layer_sizes) -> list[int]:
+    """Where each layer's block (its weights, then its biases) starts in the
+    flat vector, then the parameter count."""
+    blocks = (fan_out * (fan_in + 1) for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
+    return list(accumulate(blocks, initial=0))
+
+
 def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer weight and bias views of a vector laid out as w0, b0, w1, b1, ..."""
     weights, biases = [], []
-    pos = 0
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        end = pos + fan_out * fan_in
-        weights.append(flat[pos:end].reshape(fan_out, fan_in))
+    for start, fan_in, fan_out in zip(_layer_offsets(layer_sizes), layer_sizes[:-1],
+                                      layer_sizes[1:]):
+        end = start + fan_out * fan_in
+        weights.append(flat[start:end].reshape(fan_out, fan_in))
         biases.append(flat[end : end + fan_out])
-        pos = end + fan_out
     return weights, biases
-
-
-def _flatten(weights, biases) -> np.ndarray:
-    """Inverse of :func:`_layer_views`: one new vector laid out as w0, b0, w1, b1, ..."""
-    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
 
 
 @dataclass
@@ -80,7 +85,7 @@ class NetworkParams:
 
     def __post_init__(self):
         sizes = self.layer_sizes
-        size = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+        size = _layer_offsets(sizes)[-1]
         if self.flat.dtype != np.float64 or self.flat.shape != (size,):
             raise ValueError(
                 f"layer sizes {sizes} need a float64 vector of {size} parameters, "
@@ -137,19 +142,13 @@ def init_network(
     input_offset=None,
     input_scale=None,
 ) -> NetworkParams:
-    """Symmetric scaled-uniform weight init (scale 1/sqrt(fan_in)), zero biases."""
+    """Symmetric scaled-uniform weight init (scale 1/sqrt(fan_in)), zero biases;
+    each layer's weights, in order, are drawn into a view of one vector."""
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 2:
         raise ValueError(f"need at least an input and an output layer, got {sizes}")
     if any(s < 1 for s in sizes):
         raise ValueError(f"all layer sizes must be positive, got {sizes}")
-    rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
     k = sizes[0]
     offset = np.zeros(k) if input_offset is None else np.broadcast_to(
         np.asarray(input_offset, dtype=float), (k,)
@@ -159,12 +158,17 @@ def init_network(
     ).copy()
     if np.any(scale <= 0.0):
         raise ValueError("input_scale must be strictly positive")
-    return NetworkParams(
+    params = NetworkParams(
         layer_sizes=sizes,
-        flat=_flatten(weights, biases),
+        flat=np.zeros(_layer_offsets(sizes)[-1]),
         input_offset=offset,
         input_scale=scale,
     )
+    rng = np.random.default_rng(seed)
+    for w in params.weights:
+        bound = 1.0 / np.sqrt(w.shape[1])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def _sigmoid(z: np.ndarray, out=None, scratch=None) -> np.ndarray:
@@ -260,8 +264,9 @@ def backward(params: NetworkParams, cache, upstream):
     """Accumulate dL/d(theta) from dL/dx by reverse-mode differentiation.
 
     ``upstream`` must match the (n, d) shape of the forward output the cache
-    came from. Returns ``(grad_weights, grad_biases)`` shaped like the
-    parameters. The ReLU subgradient at 0 is taken as 0.
+    came from. Returns one new vector laid out like ``params.flat``: each
+    layer's gradient is written into its weight and bias views. The ReLU
+    subgradient at 0 is taken as 0.
     """
     upstream = np.asarray(upstream, dtype=float)
     sig = cache["sigmoid"]
@@ -271,16 +276,16 @@ def backward(params: NetworkParams, cache, upstream):
         )
     # Through the output squashing x = lb + sigmoid(z) * span.
     delta = upstream * cache["span"] * sig * (1.0 - sig)
-    grad_w = [None] * params.n_layers()
-    grad_b = [None] * params.n_layers()
+    grad = np.empty_like(params.flat)
+    grad_w, grad_b = _layer_views(grad, params.layer_sizes)
     for layer in range(params.n_layers() - 1, -1, -1):
         a_prev = cache["activations"][layer]
-        grad_w[layer] = delta.T @ a_prev
-        grad_b[layer] = delta.sum(axis=0)
+        np.matmul(delta.T, a_prev, out=grad_w[layer])
+        np.sum(delta, axis=0, out=grad_b[layer])
         if layer > 0:
             # relu(z) > 0 exactly where z > 0, NaN included.
             delta = (delta @ params.weights[layer]) * (cache["activations"][layer] > 0.0)
-    return grad_w, grad_b
+    return grad
 
 
 def init_adam(
@@ -300,70 +305,56 @@ def init_adam(
     )
 
 
-def adam_step(params: NetworkParams, grads, state: AdamState):
+def adam_step(params: NetworkParams, grad, state: AdamState):
     """One Adam update with bias correction; returns new (params, state).
 
-    The update runs once on the flat parameter vector. Its arithmetic is
+    ``grad`` is laid out like ``params.flat``, as :func:`backward` returns
+    it. The update runs once on the flat vector. Its arithmetic is
     elementwise, so every parameter gets the bits a per-layer update gives.
     The new params share the fixed input standardisation arrays.
     Raises :class:`NonFiniteGradient`, naming the first offending layer, when
-    a gradient holds a NaN or an infinity.
+    the gradient holds a NaN or an infinity.
     """
-    grad_w, grad_b = grads
-    for layer, (gw, gb) in enumerate(zip(grad_w, grad_b)):
-        if gw.shape != params.weights[layer].shape or gb.shape != params.biases[layer].shape:
-            raise ValueError(f"gradient shape mismatch at layer {layer}")
-    g = _flatten(grad_w, grad_b)
-    if not np.isfinite(g).all():
-        raise NonFiniteGradient(next(
-            layer for layer, (gw, gb) in enumerate(zip(grad_w, grad_b))
-            if not (np.isfinite(gw).all() and np.isfinite(gb).all())
-        ))
+    if grad.shape != params.flat.shape:
+        raise ValueError(f"gradient has shape {grad.shape}, parameters {params.flat.shape}")
+    finite = np.isfinite(grad)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise NonFiniteGradient(bisect_right(_layer_offsets(params.layer_sizes), first) - 1)
     t = state.t + 1
     b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    m = b1 * state.m + (1.0 - b1) * g
-    v = b2 * state.v + (1.0 - b2) * g**2
+    m = b1 * state.m + (1.0 - b1) * grad
+    v = b2 * state.v + (1.0 - b2) * grad**2
     theta = params.flat - lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
     return replace(params, flat=theta), replace(state, m=m, v=v, t=t)
+
+
+# The Adam step count and settings that a checkpoint's meta records.
+_ADAM_KEYS = ("t", "learning_rate", "beta1", "beta2", "eps")
 
 
 def save_checkpoint(path, params: NetworkParams, state: AdamState, seeds: dict) -> None:
     """Dump parameters, optimizer state and seed lineage to an .npz file.
 
-    The round-trip through :func:`load_checkpoint` is exact (float64 arrays
-    are stored in binary).
+    The file holds six entries at any depth: ``flat``, ``adam_m`` and
+    ``adam_v`` (all laid out like ``params.flat``), ``input_offset``,
+    ``input_scale`` and the JSON ``meta``. The round-trip through
+    :func:`load_checkpoint` is exact (float64 arrays are stored in binary).
     """
-    arrays = {}
-    m_w, m_b = _layer_views(state.m, params.layer_sizes)
-    v_w, v_b = _layer_views(state.v, params.layer_sizes)
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        arrays[f"w{i}"] = w
-        arrays[f"b{i}"] = b
-        arrays[f"adam_mw{i}"] = m_w[i]
-        arrays[f"adam_vw{i}"] = v_w[i]
-        arrays[f"adam_mb{i}"] = m_b[i]
-        arrays[f"adam_vb{i}"] = v_b[i]
-    arrays["input_offset"] = params.input_offset
-    arrays["input_scale"] = params.input_scale
     meta = {
         "layer_sizes": list(params.layer_sizes),
         "activation": "relu",
-        "adam": {
-            "t": state.t,
-            "learning_rate": state.learning_rate,
-            "beta1": state.beta1,
-            "beta2": state.beta2,
-            "eps": state.eps,
-        },
+        "adam": {key: getattr(state, key) for key in _ADAM_KEYS},
         "seeds": seeds,
     }
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     # Write through a handle so numpy never appends an extension to the path
     # (keeps temp-file-then-rename writes working).
     with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.savez(fh, flat=params.flat, adam_m=state.m, adam_v=state.v,
+                 input_offset=params.input_offset, input_scale=params.input_scale,
+                 meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))
 
 
 def load_checkpoint(path):
@@ -371,7 +362,7 @@ def load_checkpoint(path):
 
     A file that :func:`save_checkpoint` did not write raises ``ValueError``
     naming the path and, for a readable ``.npz`` archive, the entry or
-    ``meta`` key it lacks.
+    ``meta`` key it lacks (``flat``, for a per-layer file) or a wrong size.
     """
     try:
         archive = np.load(path)
@@ -392,8 +383,7 @@ def load_checkpoint(path):
         meta = json.loads(raw_meta.decode("utf-8"))
         activation, seeds = meta["activation"], meta["seeds"]
         sizes = tuple(meta["layer_sizes"])
-        adam = {key: meta["adam"][key]
-                for key in ("t", "learning_rate", "beta1", "beta2", "eps")}
+        adam = {key: meta["adam"][key] for key in _ADAM_KEYS}
     except KeyError as exc:
         raise ValueError(f"{path}: not a pslearn checkpoint (no meta key {exc})") from None
     except ValueError as exc:
@@ -401,17 +391,11 @@ def load_checkpoint(path):
     if activation != "relu":
         raise ValueError(f"{path}: activation {activation!r} is not supported; "
                          "the model is a ReLU network")
-    layers = range(len(sizes) - 1)
-
-    def flat(w_key, b_key):
-        return _flatten([entry(f"{w_key}{i}") for i in layers],
-                        [entry(f"{b_key}{i}") for i in layers])
-
-    params = NetworkParams(
-        layer_sizes=sizes,
-        flat=flat("w", "b"),
-        input_offset=entry("input_offset"),
-        input_scale=entry("input_scale"),
-    )
-    state = AdamState(m=flat("adam_mw", "adam_mb"), v=flat("adam_vw", "adam_vb"), **adam)
-    return params, state, seeds
+    flat, m, v = entry("flat"), entry("adam_m"), entry("adam_v")
+    size = _layer_offsets(sizes)[-1]
+    if not flat.shape == m.shape == v.shape == (size,):
+        raise ValueError(f"{path}: layer sizes {sizes} need {size} parameters and moments, "
+                         f"got shapes {flat.shape}, {m.shape} and {v.shape}")
+    params = NetworkParams(layer_sizes=sizes, flat=flat, input_offset=entry("input_offset"),
+                           input_scale=entry("input_scale"))
+    return params, AdamState(m=m, v=v, **adam), seeds

@@ -113,10 +113,18 @@ class TrainConfig:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; valid: {', '.join(ALGORITHMS)}"
             )
-        if self.iterations < 1 or self.batch_size < 1 or self.eval_interval < 1:
-            raise ValueError("need iterations >= 1, batch_size >= 1 and eval_interval >= 1")
-        if self.latent_dim is not None and self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
+        for keys, valid, need in (
+            (("iterations", "batch_size", "eval_interval", "eval_samples"),
+             lambda x: x >= 1, ">= 1"),
+            (("latent_dim", "directions_h"), lambda x: x is None or x >= 1, ">= 1"),
+            (("eval_seed",), lambda x: x >= 0, ">= 0"),
+            (("learning_rate", "eps_adam", "dirichlet_alpha", "ref_offset"),
+             lambda x: x > 0, "> 0"),
+            (("beta1", "beta2"), lambda x: 0 <= x < 1, "in [0, 1)"),
+        ):
+            for key in keys:
+                if not valid(getattr(self, key)):
+                    raise ValueError(f"need {key} {need}, got {getattr(self, key)!r}")
 
     def resolved_latent_dim(self, problem: Problem) -> int:
         if self.algorithm in ("gpsl-g", "gpsl-l"):
@@ -267,7 +275,8 @@ class _RunningExtremes:
 
 
 def _chain_to_params(params, cache, problem, xs, d_loss_d_raw):
-    """dL/d(theta) from per-sample dL/df via problem Jacobians and backprop."""
+    """dL/d(theta) from per-sample dL/df via problem Jacobians and backprop,
+    as one vector laid out like ``params.flat``."""
     # A stacked matmul rounds like the per-row `J.T @ g`; einsum does not.
     d_loss_d_x = np.matmul(d_loss_d_raw[:, None, :], problem.jacobian(xs))[:, 0, :]
     return net.backward(params, cache, d_loss_d_x)
@@ -346,7 +355,7 @@ def _algorithm_loss(config: TrainConfig, problem: Problem):
 
 
 def _batch_loss(params, latents, problem: Problem, extremes, loss):
-    """Loss and parameter gradients of one batch.
+    """Loss and parameter gradient (laid out like ``params.flat``) of one batch.
 
     Updates ``extremes`` from the batch before normalizing; the gradient of
     ``loss`` (see :func:`_algorithm_loss`) flows back through the
@@ -478,11 +487,11 @@ def _train_loop(config: TrainConfig, problem: Problem, front: ParetoFrontData,
     loss = math.nan
     for iteration in range(1, config.iterations + 1):
         latents = draw(config.batch_size, rng)
-        loss, grads = batch_loss(params, latents, extremes)
+        loss, grad = batch_loss(params, latents, extremes)
         if not math.isfinite(loss):
             raise TrainingDiverged(config.seed, iteration, "loss", params)
         try:
-            params, state = net.adam_step(params, grads, state)
+            params, state = net.adam_step(params, grad, state)
         except net.NonFiniteGradient as err:
             raise TrainingDiverged(config.seed, iteration, "gradient", params) from err
         if iteration % config.eval_interval == 0 or iteration == config.iterations:

@@ -2,9 +2,10 @@
 
 Each run of :data:`MATRIX` is hashed four ways (sha256): the metrics-CSV
 bytes, the final ``params.flat`` and the Adam moments ``m`` and ``v``. Beside
-the digests it records the run's final ``hv_learned`` and
+the digests it records the run's final ``loss``, ``hv_learned`` and
 ``log_hv_difference`` (the ``repr`` of each as a float), so a moved digest
-comes with how far the result moved. ``tests/test_golden.py`` recomputes
+comes with how far the result moved. The loss moves with the model even
+where the learned HV is still 0.0, as it is for every zdt3 and dtlz7 run. ``tests/test_golden.py`` recomputes
 them and compares with ``golden.json``.
 
 Run ``python tests/make_golden.py`` (with ``src`` on ``PYTHONPATH``) to
@@ -31,7 +32,7 @@ PROBLEMS = ("zdt3", "dtlz5", "dtlz7")
 SEED = 3
 
 # The final values recorded beside the digests.
-VALUES = ("hv_learned", "log_hv_difference")
+VALUES = ("loss", "hv_learned", "log_hv_difference")
 
 # (problem, algorithm, hv_batch_as_set): every algorithm on every problem,
 # plus gpsl-g scoring each sample as its own set.

@@ -190,21 +190,13 @@ class TestCriterion1Gradients:
 
             def loss_of(theta):
                 trial = params.copy()
-                pos = 0
-                for arrs in (trial.weights, trial.biases):
-                    for arr in arrs:
-                        arr[:] = theta[pos : pos + arr.size].reshape(arr.shape)
-                        pos += arr.size
+                trial.flat[:] = theta
                 loss, _ = _batch_loss(trial, latents, problem, wide(), hv_loss)
                 return loss
 
-            _, grads = _batch_loss(params, latents, problem, wide(), hv_loss)
-            analytic = np.concatenate(
-                [g.ravel() for g in grads[0]] + [g.ravel() for g in grads[1]]
-            )
-            theta = np.concatenate(
-                [a.ravel() for a in params.weights] + [a.ravel() for a in params.biases]
-            )
+            # The gradient is laid out like params.flat.
+            _, analytic = _batch_loss(params, latents, problem, wide(), hv_loss)
+            theta = params.flat.copy()
             fd = central_difference_gradient(loss_of, theta)
             scale = np.maximum(np.abs(fd), 1e-7)
             worst = max(worst, float(np.max(np.abs(analytic - fd) / scale)))

@@ -209,14 +209,14 @@ class TestEval:
 
     @pytest.mark.parametrize("damage, message", [
         ("drop meta", "not a pslearn checkpoint (no meta)"),
-        ("drop w0", "not a pslearn checkpoint (no w0)"),
+        ("drop flat", "not a pslearn checkpoint (no flat)"),
         ("meta not json", "meta is not JSON"),
         ("npy array", "not a pslearn checkpoint (not a readable .npz archive)"),
         ("empty", "not a pslearn checkpoint (not a readable .npz archive)"),
         ("zip magic only", "not a pslearn checkpoint (not a readable .npz archive)"),
         ("first half", "not a pslearn checkpoint (not a readable .npz archive)"),
         ("text", "not a pslearn checkpoint (not a readable .npz archive)"),
-    ], ids=["no-meta", "no-w0", "meta-not-json", "npy", "empty", "zip-magic", "truncated", "text"])
+    ], ids=["no-meta", "no-flat", "meta-not-json", "npy", "empty", "zip-magic", "truncated", "text"])
     def test_foreign_npz_is_an_error(self, tmp_path, capsys, damage, message):
         params = net.init_network((2, 3), seed=0)
         path = tmp_path / "bad.npz"
@@ -230,7 +230,7 @@ class TestEval:
             del arrays[damage.split()[1]]
         with open(path, "wb") as fh:
             if damage == "npy array":
-                np.save(fh, arrays["w0"])
+                np.save(fh, arrays["flat"])
             elif damage == "empty":
                 pass
             elif damage == "zip magic only":
@@ -244,6 +244,32 @@ class TestEval:
         rc = main(["eval", "--checkpoint", str(path), "--problem", "zdt3", "--algo", "gpsl-g"])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--problem", "zdt3", "--algo", "gpsl-l"], "algorithm 'gpsl-g', not 'gpsl-l'"),
+        (["--problem", "dtlz7", "--algo", "gpsl-g"], "problem 'zdt3', not 'dtlz7'"),
+    ], ids=["algo", "problem"])
+    def test_contradicting_the_checkpoint_is_an_error(self, tmp_path, capsys, flags, message):
+        # gpsl-l at k = d has the same latent dimension as gpsl-g: without
+        # the check it would score the model on the wrong sampler.
+        out = tmp_path / "out"
+        assert main(["run", "--problem", "zdt3", "--algo", "gpsl-g", "--seeds", "1",
+                     "--out", str(out), *FAST]) == 0
+        capsys.readouterr()
+        ckpt = out / "zdt3_gpsl-g_seed0.ckpt.npz"
+        assert main(["eval", "--checkpoint", str(ckpt), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {ckpt}: trained with {message}\n"
+
+    def test_checkpoint_without_record_evaluates_as_given(self, tmp_path, capsys):
+        # Checkpoints written outside the CLI carry only what their writer
+        # stored; eval then trusts the flags.
+        params = net.init_network((30, 4, 30), seed=0)
+        path = tmp_path / "plain.ckpt.npz"
+        net.save_checkpoint(path, params, net.init_adam(params), {"train_seed": 0})
+        for algo in ("gpsl-g", "gpsl-l"):
+            assert main(["eval", "--checkpoint", str(path), "--problem", "zdt3",
+                         "--algo", algo, "--eval-n", "40"]) == 0
+            assert json.loads(capsys.readouterr().out)["algorithm"] == algo
 
     @pytest.mark.parametrize("flag", [
         "--seeds", "--iters", "--batch", "--dirs-h", "--eval-interval", "--workers",
@@ -383,6 +409,24 @@ class TestUnrunnableSettings:
         assert "iterations >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("key, value", [
+        ("eval_samples", "0"), ("directions_h", "0"), ("dirichlet_alpha", "0"),
+        ("eval_seed", "-1"), ("learning_rate", "-1"), ("learning_rate", "nan"),
+        ("beta1", "1"), ("beta2", "-0.5"), ("eps_adam", "0"), ("ref_offset", "0"),
+    ], ids=lambda value: value)
+    def test_out_of_range_setting_names_its_key(self, tmp_path, capsys, key, value):
+        # Each of these used to be replaced by a default, to fail after the
+        # output directory was made, or to run and report a wrong number.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("iterations = 12\nbatch_size = 6\neval_interval = 6\n"
+                       f"eval_samples = 40\ndirections_h = 5\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--problem", "zdt3", "--algo", "gpsl-d", "--seeds", "1",
+                     "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: need {key} ") and key in err
+        assert not out.exists()
 
     def test_rejected_latent_dim_leaves_no_directory(self, tmp_path, capsys):
         # psl-tch samples the 2-simplex on zdt3; every task's latent

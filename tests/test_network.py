@@ -2,6 +2,7 @@
 gradients against finite differences, Adam, and checkpoint round-trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -86,21 +87,22 @@ class TestBackward:
         params = small_net(seed=2)
         v = rng.standard_normal((4, 2))
         _, cache = net.forward(params, v, LB, UB)
-        gw, gb = net.backward(params, cache, np.zeros((4, 3)))
-        assert all(np.all(g == 0.0) for g in gw)
-        assert all(np.all(g == 0.0) for g in gb)
+        grad = net.backward(params, cache, np.zeros((4, 3)))
+        assert grad.shape == params.flat.shape
+        assert np.all(grad == 0.0)
 
     def test_upstream_linearity(self, rng):
         params = small_net(seed=2)
         v = rng.standard_normal((4, 2))
         _, cache = net.forward(params, v, LB, UB)
         upstream = rng.standard_normal((4, 3))
-        gw1, gb1 = net.backward(params, cache, upstream)
-        gw2, gb2 = net.backward(params, cache, 2.0 * upstream)
-        for g1, g2 in zip(gw1 + gb1, gw2 + gb2):
-            np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-12)
+        g1 = net.backward(params, cache, upstream)
+        g2 = net.backward(params, cache, 2.0 * upstream)
+        np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-12)
 
     def test_matches_finite_differences(self, rng):
+        # The gradient is laid out like params.flat, so the finite
+        # differences run over that vector, entry by entry.
         lb, ub = np.full(4, -1.0), np.full(4, 2.0)
         for probe in range(5):
             params = net.init_network((3, 6, 5, 4), seed=100 + probe)
@@ -108,23 +110,15 @@ class TestBackward:
             target = rng.standard_normal(4)
 
             x, cache = net.forward(params, v, lb, ub)
-            gw, gb = net.backward(params, cache, x - target)
+            analytic = net.backward(params, cache, x - target)
 
             def loss_of(theta_flat):
                 trial = params.copy()
-                pos = 0
-                for arrs in (trial.weights, trial.biases):
-                    for arr in arrs:
-                        arr[:] = theta_flat[pos : pos + arr.size].reshape(arr.shape)
-                        pos += arr.size
+                trial.flat[:] = theta_flat
                 xt, _ = net.forward(trial, v, lb, ub)
                 return 0.5 * np.sum((xt - target) ** 2)
 
-            theta = np.concatenate(
-                [a.ravel() for a in params.weights] + [a.ravel() for a in params.biases]
-            )
-            fd = central_difference_gradient(loss_of, theta)
-            analytic = np.concatenate([g.ravel() for g in gw] + [g.ravel() for g in gb])
+            fd = central_difference_gradient(loss_of, params.flat.copy())
             np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=1e-7)
 
     def test_shape_mismatch_rejected(self, rng):
@@ -134,12 +128,18 @@ class TestBackward:
             net.backward(params, cache, np.zeros((3, 3)))
 
 
+def layered(params, w_fill, b_fill):
+    """A gradient laid out like ``params.flat``: every weight entry
+    ``w_fill``, every bias entry ``b_fill``."""
+    return np.concatenate([np.full(a.size, fill) for w, b in zip(params.weights, params.biases)
+                           for a, fill in ((w, w_fill), (b, b_fill))])
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = small_net(seed=9)
         state = net.init_adam(params)
-        grads = ([np.zeros_like(w) for w in params.weights], [np.zeros_like(b) for b in params.biases])
-        new_params, new_state = net.adam_step(params, grads, state)
+        new_params, new_state = net.adam_step(params, np.zeros_like(params.flat), state)
         for a, b in zip(params.weights, new_params.weights):
             np.testing.assert_array_equal(a, b)
         assert new_state.t == 1
@@ -149,11 +149,7 @@ class TestAdam:
         params = small_net(seed=4)
         lr = 1e-3
         state = net.init_adam(params, learning_rate=lr)
-        grads = (
-            [np.full_like(w, 0.25) for w in params.weights],
-            [np.full_like(b, -3.0) for b in params.biases],
-        )
-        new_params, _ = net.adam_step(params, grads, state)
+        new_params, _ = net.adam_step(params, layered(params, 0.25, -3.0), state)
         dw = new_params.weights[0] - params.weights[0]
         db = new_params.biases[0] - params.biases[0]
         np.testing.assert_allclose(dw, -lr * 0.25 / (0.25 + state.eps), rtol=1e-12)
@@ -162,33 +158,33 @@ class TestAdam:
     def test_deterministic(self, rng):
         params = small_net(seed=6)
         state = net.init_adam(params)
-        grads = (
-            [rng.standard_normal(w.shape) for w in params.weights],
-            [rng.standard_normal(b.shape) for b in params.biases],
-        )
-        out1 = net.adam_step(params, grads, state)
-        out2 = net.adam_step(params, grads, state)
+        grad = rng.standard_normal(params.flat.shape)
+        out1 = net.adam_step(params, grad, state)
+        out2 = net.adam_step(params, grad, state)
         for a, b in zip(out1[0].weights, out2[0].weights):
             np.testing.assert_array_equal(a, b)
 
     def test_nonfinite_gradient_names_layer(self):
         params = small_net()
         state = net.init_adam(params)
-        grads = ([np.zeros_like(w) for w in params.weights], [np.zeros_like(b) for b in params.biases])
-        grads[0][1][0, 0] = np.inf
+        grad = np.zeros_like(params.flat)
+        # The first weight of layer 1 follows layer 0's weights and biases.
+        grad[params.weights[0].size + params.biases[0].size] = np.inf
         with pytest.raises(ValueError, match="layer 1"):
-            net.adam_step(params, grads, state)
+            net.adam_step(params, grad, state)
+
+    @pytest.mark.parametrize("shape", [(122,), (124,), (1, 123)])
+    def test_gradient_of_another_shape_rejected(self, shape):
+        params = small_net()  # (2, 8, 8, 3): 123 parameters
+        with pytest.raises(ValueError, match=rf"gradient has shape \({shape[0]},"):
+            net.adam_step(params, np.zeros(shape), net.init_adam(params))
 
 
 class TestCheckpoint:
     def test_exact_round_trip(self, tmp_path, rng):
         params = net.init_network((3, 16, 5), seed=12, input_offset=[1.0, 2.0, 3.0])
         state = net.init_adam(params, learning_rate=5e-4, beta1=0.8)
-        grads = (
-            [rng.standard_normal(w.shape) for w in params.weights],
-            [rng.standard_normal(b.shape) for b in params.biases],
-        )
-        params, state = net.adam_step(params, grads, state)
+        params, state = net.adam_step(params, rng.standard_normal(params.flat.shape), state)
         seeds = {"train_seed": 3, "eval_seed": 77}
         path = tmp_path / "model.ckpt.npz"
         net.save_checkpoint(path, params, state, seeds)
@@ -217,4 +213,42 @@ class TestCheckpoint:
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
         with pytest.raises(ValueError, match="'tanh' is not supported"):
+            net.load_checkpoint(path)
+
+    @staticmethod
+    def rewrite(path, edit):
+        """Apply ``edit`` to the archive's entries (a dict) and save them back."""
+        with np.load(path) as data:
+            arrays = dict(data)
+        edit(arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+
+    def saved(self, tmp_path, sizes=(2, 3, 2)):
+        params = net.init_network(sizes, seed=0)
+        path = tmp_path / "model.ckpt.npz"
+        net.save_checkpoint(path, params, net.init_adam(params), {})
+        return params, path
+
+    def test_per_layer_file_names_the_missing_flat_entry(self, tmp_path):
+        # The layout written before checkpoints held three flat arrays.
+        params, path = self.saved(tmp_path)
+
+        def per_layer(arrays):
+            for key in ("flat", "adam_m", "adam_v"):
+                del arrays[key]
+            for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+                arrays.update({f"w{i}": w, f"b{i}": b, f"adam_mw{i}": 0 * w,
+                               f"adam_vw{i}": 0 * w, f"adam_mb{i}": 0 * b, f"adam_vb{i}": 0 * b})
+
+        self.rewrite(path, per_layer)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a pslearn checkpoint (no flat)")):
+            net.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["flat", "adam_m", "adam_v"])
+    def test_vectors_of_another_size_name_the_file(self, tmp_path, key):
+        _, path = self.saved(tmp_path)  # (2, 3, 2): 17 parameters
+        self.rewrite(path, lambda arrays: arrays.update({key: arrays[key][:-1]}))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: layer sizes (2, 3, 2) need 17 parameters and moments")):
             net.load_checkpoint(path)

@@ -1,9 +1,10 @@
 """Property tests of the network: the output sigmoid against the masked form
 kept here as the oracle, the pooled evaluation forward against
-:func:`forward`, and the flat-vector Adam update: several steps
-against a per-layer Adam kept here as the oracle, the layer named by a
-non-finite gradient, exact checkpoint round-trips of the flat optimizer
-state, and copies whose layers stay views of their own vector."""
+:func:`forward`, the flat gradient of :func:`backward` against a per-layer
+backward kept here as the oracle, and the flat-vector Adam update: several
+steps against a per-layer Adam kept here as the oracle, the layer named by
+a non-finite gradient, exact checkpoint round-trips of the three flat
+arrays, and copies whose layers stay views of their own vector."""
 
 import copy
 import math
@@ -76,6 +77,34 @@ def test_predict_bits_equal_forward(sizes, n, seed, offset, scale, lb, span, gai
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def per_layer_backward(params, cache, upstream):
+    """Backprop layer by layer into lists of arrays, as the package did it before."""
+    sig = cache["sigmoid"]
+    delta = upstream * cache["span"] * sig * (1.0 - sig)
+    grad_w, grad_b = [None] * params.n_layers(), [None] * params.n_layers()
+    for layer in range(params.n_layers() - 1, -1, -1):
+        grad_w[layer] = delta.T @ cache["activations"][layer]
+        grad_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ params.weights[layer]) * (cache["activations"][layer] > 0.0)
+    return grad_w, grad_b
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=st.lists(st.integers(1, 40), min_size=2, max_size=4).map(tuple),
+       n=st.integers(1, 70), seed=st.integers(0, 2**16))
+def test_flat_backward_bits_equal_per_layer_oracle(sizes, n, seed):
+    rng = np.random.default_rng(seed)
+    params = net.init_network(sizes, seed)
+    lb = rng.uniform(-2.0, 0.0, size=sizes[-1])
+    _, cache = net.forward(params, rng.normal(size=(n, sizes[0])), lb, lb + 3.0)
+    upstream = rng.normal(size=(n, sizes[-1]))
+    got = net.backward(params, cache, upstream)
+    want = flat(*per_layer_backward(params, cache, upstream))
+    assert got.shape == params.flat.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def per_layer_adam(weights, biases, grads, state):
     """Adam layer by layer on lists of arrays, as the package did it before."""
     (grad_w, grad_b), (m_w, v_w, m_b, v_b, t) = grads, state
@@ -126,7 +155,7 @@ def test_flat_adam_steps_equal_per_layer_oracle(data, sizes, seed):
     for _ in range(data.draw(st.integers(1, 4))):
         grads = draw_grads(data, params)
         previous, before = params, params.flat.copy()
-        params, state = net.adam_step(params, grads, state)
+        params, state = net.adam_step(params, flat(*grads), state)
         assert np.array_equal(previous.flat, before)  # new objects, inputs untouched
         weights, biases, oracle_state = per_layer_adam(weights, biases, grads, oracle_state)
         m_w, v_w, m_b, v_b, t = oracle_state
@@ -139,7 +168,8 @@ def test_flat_adam_steps_equal_per_layer_oracle(data, sizes, seed):
 
 
 def _poisoned(data, params):
-    """Finite gradients with one NaN or infinity, and the layer it is in."""
+    """Finite per-layer gradients with one NaN or infinity, and the layer it
+    is in."""
     grads = draw_grads(data, params, elements=st.floats(-1.0, 1.0))
     layer = data.draw(st.integers(0, params.n_layers() - 1))
     target = grads[data.draw(st.integers(0, 1))][layer]
@@ -154,7 +184,7 @@ def test_nonfinite_gradient_names_its_layer(data, sizes):
     params = net.init_network(sizes, 0)
     grads, layer = _poisoned(data, params)
     with pytest.raises(ValueError, match=f"non-finite gradient at layer {layer}$") as err:
-        net.adam_step(params, grads, net.init_adam(params))
+        net.adam_step(params, flat(*grads), net.init_adam(params))
     assert isinstance(err.value, net.NonFiniteGradient)
     assert err.value.layer == layer
 
@@ -169,11 +199,10 @@ def test_nonfinite_gradient_in_any_layer_stops_training(data, iteration):
 
     def batch_loss(params, latents, extremes):
         calls.append(None)
-        grads = ([np.zeros_like(w) for w in params.weights],
-                 [np.zeros_like(b) for b in params.biases])
+        grad = np.zeros_like(params.flat)
         if len(calls) == iteration + 1:  # the first call is the row-0 probe
-            grads, _ = _poisoned(data, params)
-        return 0.5, grads
+            grad = flat(*_poisoned(data, params)[0])
+        return 0.5, grad
 
     with pytest.raises(TrainingDiverged) as err:
         _train_loop(cfg, problem, pareto_front(problem, 50), batch_loss)
@@ -187,16 +216,15 @@ def test_checkpoint_round_trip_is_exact(data, sizes, steps):
     params = net.init_network(sizes, 1, input_offset=0.5, input_scale=2.0)
     state = net.init_adam(params, learning_rate=5e-4, beta1=0.8)
     for _ in range(steps):
-        params, state = net.adam_step(params, draw_grads(data, params), state)
+        params, state = net.adam_step(params, flat(*draw_grads(data, params)), state)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt.npz"
         net.save_checkpoint(path, params, state, {"train_seed": 1})
         loaded, loaded_state, _ = net.load_checkpoint(path)
         with np.load(path) as stored:
             keys = set(stored.files)
-    per_layer = {f"{key}{i}" for i in range(len(sizes) - 1)
-                 for key in ("w", "b", "adam_mw", "adam_vw", "adam_mb", "adam_vb")}
-    assert keys == per_layer | {"input_offset", "input_scale", "meta"}
+    # Six entries, whatever the depth.
+    assert keys == {"flat", "adam_m", "adam_v", "input_offset", "input_scale", "meta"}
     assert loaded.layer_sizes == params.layer_sizes
     for got, want in [(loaded.flat, params.flat), (loaded_state.m, state.m),
                       (loaded_state.v, state.v), (loaded.input_offset, params.input_offset),

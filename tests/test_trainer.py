@@ -43,9 +43,6 @@ def wide_extremes(m, low=-5.0, high=15.0):
     ext.update(corners)
     return ext
 
-def flatten_params(params):
-    return np.concatenate([a.ravel() for a in params.weights] + [a.ravel() for a in params.biases])
-
 def deterministic_fields(metrics):
     """Everything in the log except wall-clock timing."""
     return [
@@ -54,12 +51,9 @@ def deterministic_fields(metrics):
     ]
 
 def unflatten_into(params, theta):
+    # A copy of params with theta, laid out like params.flat, as parameters.
     trial = params.copy()
-    pos = 0
-    for arrs in (trial.weights, trial.biases):
-        for arr in arrs:
-            arr[:] = theta[pos : pos + arr.size].reshape(arr.shape)
-            pos += arr.size
+    trial.flat[:] = theta
     return trial
 
 # A smooth convex toy problem whose objectives share no minimizer except in
@@ -165,11 +159,7 @@ class TestTrainLoop:
         cfg = TrainConfig(problem="zdt3", algorithm="gpsl-g", **TINY)
 
         def bad_loss(params, latents, extremes):
-            grads = (
-                [np.full_like(w, grad_fill) for w in params.weights],
-                [np.zeros_like(b) for b in params.biases],
-            )
-            return loss, grads
+            return loss, np.full_like(params.flat, grad_fill)
 
         with pytest.raises(TrainingDiverged) as err:
             _train_loop(cfg, get_problem("zdt3"), pareto_front("zdt3", 200), bad_loss)
@@ -486,9 +476,8 @@ class TestFullChainGradients:
                 trial = unflatten_into(params, theta)
                 return _batch_loss(trial, latents, prob, wide_extremes(2), loss)[0]
 
-            _, grads = _batch_loss(params, latents, prob, wide_extremes(2), loss)
-            analytic = np.concatenate([g.ravel() for g in grads[0]] + [g.ravel() for g in grads[1]])
-            fd = central_difference_gradient(loss_of, flatten_params(params), eps=1e-6)
+            _, analytic = _batch_loss(params, latents, prob, wide_extremes(2), loss)
+            fd = central_difference_gradient(loss_of, params.flat.copy(), eps=1e-6)
             np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=1e-8)
 
     @pytest.mark.parametrize("kind", ["psl-ls", "psl-tch", "psl-mtch", "cosmos", "psl-hv"])
@@ -503,9 +492,8 @@ class TestFullChainGradients:
             trial = unflatten_into(params, theta)
             return _batch_loss(trial, prefs, prob, wide_extremes(2), loss)
 
-        _, grads = run(flatten_params(params))
-        analytic = np.concatenate([g.ravel() for g in grads[0]] + [g.ravel() for g in grads[1]])
+        _, analytic = run(params.flat.copy())
         fd = central_difference_gradient(
-            lambda theta: run(theta)[0], flatten_params(params), eps=1e-6
+            lambda theta: run(theta)[0], params.flat.copy(), eps=1e-6
         )
         np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=1e-8)
