@@ -354,7 +354,7 @@ def cmd_eval(parser, args) -> int:
     params, _, seeds = net.load_checkpoint(args.checkpoint)
     # Checkpoints from before the record, or from outside the CLI, lack it.
     for key, given in (("problem", problem_name), ("algorithm", algorithm)):
-        if seeds.get(key, given) != given:
+        if isinstance(seeds, dict) and seeds.get(key, given) != given:
             raise ValueError(f"{args.checkpoint}: trained with {key} {seeds[key]!r}, not {given!r}")
     problem = get_problem(problem_name)
     front = _load_front(problem_name, settings.get("front"))

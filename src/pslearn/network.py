@@ -281,7 +281,7 @@ def backward(params: NetworkParams, cache, upstream):
     for layer in range(params.n_layers() - 1, -1, -1):
         a_prev = cache["activations"][layer]
         np.matmul(delta.T, a_prev, out=grad_w[layer])
-        np.sum(delta, axis=0, out=grad_b[layer])
+        delta.sum(axis=0, out=grad_b[layer])
         if layer > 0:
             # relu(z) > 0 exactly where z > 0, NaN included.
             delta = (delta @ params.weights[layer]) * (cache["activations"][layer] > 0.0)

@@ -260,12 +260,13 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(ckpt), *flags]) == 1
         assert capsys.readouterr().err == f"error: {ckpt}: trained with {message}\n"
 
-    def test_checkpoint_without_record_evaluates_as_given(self, tmp_path, capsys):
+    @pytest.mark.parametrize("seeds", [{"train_seed": 0}, [0, 1]], ids=["dict", "list"])
+    def test_checkpoint_without_record_evaluates_as_given(self, tmp_path, capsys, seeds):
         # Checkpoints written outside the CLI carry only what their writer
         # stored; eval then trusts the flags.
         params = net.init_network((30, 4, 30), seed=0)
         path = tmp_path / "plain.ckpt.npz"
-        net.save_checkpoint(path, params, net.init_adam(params), {"train_seed": 0})
+        net.save_checkpoint(path, params, net.init_adam(params), seeds)
         for algo in ("gpsl-g", "gpsl-l"):
             assert main(["eval", "--checkpoint", str(path), "--problem", "zdt3",
                          "--algo", algo, "--eval-n", "40"]) == 0
@@ -409,7 +410,6 @@ class TestUnrunnableSettings:
         assert "iterations >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-
     @pytest.mark.parametrize("key, value", [
         ("eval_samples", "0"), ("directions_h", "0"), ("dirichlet_alpha", "0"),
         ("eval_seed", "-1"), ("learning_rate", "-1"), ("learning_rate", "nan"),
@@ -424,8 +424,7 @@ class TestUnrunnableSettings:
         out = tmp_path / "out"
         assert main(["run", "--problem", "zdt3", "--algo", "gpsl-d", "--seeds", "1",
                      "--config", str(cfg), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: need {key} ") and key in err
+        assert capsys.readouterr().err.startswith(f"error: need {key} ")
         assert not out.exists()
 
     def test_rejected_latent_dim_leaves_no_directory(self, tmp_path, capsys):

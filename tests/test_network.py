@@ -181,6 +181,22 @@ class TestAdam:
 
 
 class TestCheckpoint:
+    @staticmethod
+    def rewrite(path, edit):
+        """Apply ``edit`` to the archive's entries (a dict) and save them back."""
+        with np.load(path) as data:
+            arrays = dict(data)
+        edit(arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+
+    @staticmethod
+    def saved(tmp_path):
+        params = net.init_network((2, 3, 2), seed=0)
+        path = tmp_path / "model.ckpt.npz"
+        net.save_checkpoint(path, params, net.init_adam(params), {})
+        return params, path
+
     def test_exact_round_trip(self, tmp_path, rng):
         params = net.init_network((3, 16, 5), seed=12, input_offset=[1.0, 2.0, 3.0])
         state = net.init_adam(params, learning_rate=5e-4, beta1=0.8)
@@ -201,34 +217,17 @@ class TestCheckpoint:
 
     def test_other_activation_rejected(self, tmp_path):
         # The model is always ReLU; a checkpoint saying otherwise is not ours.
-        params = net.init_network((2, 3, 2), seed=0)
-        path = tmp_path / "model.ckpt.npz"
-        net.save_checkpoint(path, params, net.init_adam(params), {})
-        with np.load(path) as data:
-            arrays = dict(data)
-        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-        assert meta["activation"] == "relu"
-        meta["activation"] = "tanh"
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
+        _, path = self.saved(tmp_path)
+
+        def tanh(arrays):
+            meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+            assert meta["activation"] == "relu"
+            meta["activation"] = "tanh"
+            arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+
+        self.rewrite(path, tanh)
         with pytest.raises(ValueError, match="'tanh' is not supported"):
             net.load_checkpoint(path)
-
-    @staticmethod
-    def rewrite(path, edit):
-        """Apply ``edit`` to the archive's entries (a dict) and save them back."""
-        with np.load(path) as data:
-            arrays = dict(data)
-        edit(arrays)
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-
-    def saved(self, tmp_path, sizes=(2, 3, 2)):
-        params = net.init_network(sizes, seed=0)
-        path = tmp_path / "model.ckpt.npz"
-        net.save_checkpoint(path, params, net.init_adam(params), {})
-        return params, path
 
     def test_per_layer_file_names_the_missing_flat_entry(self, tmp_path):
         # The layout written before checkpoints held three flat arrays.
