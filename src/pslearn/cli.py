@@ -34,15 +34,6 @@ from . import network as net
 OUTPUT_ROOT_ENV = "PSLEARN_OUT"
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes"):
-        return True
-    if lowered in ("0", "false", "no"):
-        return False
-    raise ValueError(f"expected true/false/yes/no/1/0, got {text!r}")
-
-
 # Keys accepted in `key = value` config files; flags override file values.
 CONFIG_KEYS = {
     "problem": str,
@@ -58,7 +49,6 @@ CONFIG_KEYS = {
     "eval_samples": int,
     "eval_interval": int,
     "eval_seed": int,
-    "hv_batch_as_set": _parse_bool,
     "tch_epsilon": float,
     "cosmos_gamma": float,
     "dirichlet_alpha": float,
@@ -352,10 +342,14 @@ def cmd_eval(parser, args) -> int:
         parser.error("eval requires --problem and --algo")
     _validate_names(parser, [problem_name], [algorithm])
     params, _, seeds = net.load_checkpoint(args.checkpoint)
-    # Checkpoints from before the record, or from outside the CLI, lack it.
-    for key, given in (("problem", problem_name), ("algorithm", algorithm)):
-        if isinstance(seeds, dict) and seeds.get(key, given) != given:
-            raise ValueError(f"{args.checkpoint}: trained with {key} {seeds[key]!r}, not {given!r}")
+    # Checkpoints from before the record, or from outside the CLI, lack it;
+    # the latent dimension is always the network's input width.
+    trained = {**(seeds if isinstance(seeds, dict) else {}), "latent_dim": params.layer_sizes[0]}
+    settings.setdefault("latent_dim", trained["latent_dim"])
+    for key in ("problem", "algorithm", "latent_dim"):
+        if trained.get(key, settings[key]) != settings[key]:
+            raise ValueError(f"{args.checkpoint}: trained with {key} {trained[key]!r}, "
+                             f"not {settings[key]!r}")
     problem = get_problem(problem_name)
     front = _load_front(problem_name, settings.get("front"))
     config = TrainConfig(**_base_kwargs(settings))

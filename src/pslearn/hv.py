@@ -298,17 +298,11 @@ def r2_hv_subgradient(points, ref, dirs: DirectionSet) -> np.ndarray:
     d_idx = np.arange(dirs.directions.shape[0])
     s = inner[winner, d_idx]
     active = s > 0.0
-    return _r2_credit(ratios, winner[active], d_idx[active], s[active], dirs)
-
-
-def _r2_credit(ratios: np.ndarray, rows, d_idx, lengths, dirs: DirectionSet) -> np.ndarray:
-    """The (n, m) subgradient of ``c_m * sum(lengths**m)``, where ``lengths[i]``
-    is point ``rows[i]``'s length along direction ``d_idx[i]`` in the (m, n, D)
-    ``ratios``: each pair credits ``c_m m len^(m-1) (-1/lambda)`` at its inner
-    minimum's coordinate (lowest on ties), accumulated in pair order."""
+    rows, d_idx, s = winner[active], d_idx[active], s[active]
+    # Each active direction adds c_m m s^(m-1) (-1/lambda), in direction order.
     m, n, _ = ratios.shape
     coord = ratios[:, rows, d_idx].argmin(axis=0)
-    contrib = dirs.c_m * m * lengths ** (m - 1) * (-1.0 / dirs.directions[d_idx, coord])
+    contrib = dirs.c_m * m * s ** (m - 1) * (-1.0 / dirs.directions[d_idx, coord])
     grad = np.zeros((n, m))
     np.add.at(grad, (rows, coord), contrib)
     return grad

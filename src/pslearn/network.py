@@ -362,7 +362,8 @@ def load_checkpoint(path):
 
     A file that :func:`save_checkpoint` did not write raises ``ValueError``
     naming the path and, for a readable ``.npz`` archive, the entry or
-    ``meta`` key it lacks (``flat``, for a per-layer file) or a wrong size.
+    ``meta`` key it lacks (``flat``, for a per-layer file), a wrong size or
+    a parameter or moment array that is not float64.
     """
     try:
         archive = np.load(path)
@@ -392,6 +393,9 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: activation {activation!r} is not supported; "
                          "the model is a ReLU network")
     flat, m, v = entry("flat"), entry("adam_m"), entry("adam_v")
+    for name, array in (("flat", flat), ("adam_m", m), ("adam_v", v)):
+        if array.dtype != np.float64:
+            raise ValueError(f"{path}: {name} has dtype {array.dtype}, not float64")
     size = _layer_offsets(sizes)[-1]
     if not flat.shape == m.shape == v.shape == (size,):
         raise ValueError(f"{path}: layer sizes {sizes} need {size} parameters and moments, "

@@ -135,6 +135,8 @@ class ParetoFrontData:
         points = np.array(self.points, dtype=np.float64)
         if points.ndim != 2 or len(points) == 0:
             raise ValueError("front must be a non-empty (n, m) array")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("front points must be finite")
         points.flags.writeable = False
         object.__setattr__(self, "points", points)
 
@@ -523,6 +525,8 @@ def load_reference_front(path, m: int | None = None) -> ParetoFrontData:
                 row = [float(tok) for tok in fields]
             except ValueError:
                 raise ValueError(f"{path}: malformed row at line {lineno}: {raw.strip()!r}") from None
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}: non-finite value at line {lineno}: {raw.strip()!r}")
             if rows and len(row) != len(rows[0]):
                 raise ValueError(
                     f"{path}: row width {len(row)} at line {lineno} differs from {len(rows[0])}"

@@ -30,8 +30,6 @@ import numpy as np
 from . import network as net
 from .hv import (
     HvReport,
-    _r2_credit,
-    _ratio_tensor,
     exact_hv,
     log_hv_difference,
     nondominated_filter,  # noqa: F401  benchmarks/spans.py wraps it by this name
@@ -40,7 +38,6 @@ from .hv import (
 )
 from .problems import ParetoFrontData, Problem, get_problem, pareto_front
 from .sampling import (
-    DirectionSet,
     das_dennis,
     default_divisions,
     sample_dirichlet,
@@ -102,7 +99,6 @@ class TrainConfig:
     eval_samples: int = 1000
     eval_interval: int = 10
     eval_seed: int = DEFAULT_EVAL_SEED
-    hv_batch_as_set: bool = True  # False: score each sample as its own set
     tch_epsilon: float = 0.1
     cosmos_gamma: float = 1.0
     dirichlet_alpha: float = 1.0
@@ -114,6 +110,8 @@ class TrainConfig:
                 f"unknown algorithm {self.algorithm!r}; valid: {', '.join(ALGORITHMS)}"
             )
         for keys, valid, need in (
+            (("learning_rate", "beta1", "beta2", "eps_adam", "tch_epsilon", "cosmos_gamma",
+              "dirichlet_alpha", "ref_offset"), math.isfinite, "finite"),
             (("iterations", "batch_size", "eval_interval", "eval_samples"),
              lambda x: x >= 1, ">= 1"),
             (("latent_dim", "directions_h"), lambda x: x is None or x >= 1, ">= 1"),
@@ -288,25 +286,6 @@ def _batch_mean(values: np.ndarray) -> float:
     return float(0.0 + np.cumsum(values / len(values))[-1])
 
 
-def _hv_loss(y, r, dirs: DirectionSet, batch_as_set: bool):
-    """Loss and d(loss)/dy of a normalized GPSL batch: the negated mean HV.
-
-    The batch is one point set (default), or each row is scored as its own
-    set. With one point per set, each direction's best length is that
-    point's own projection length, so the values and subgradients of all
-    the singletons follow from one (n, D) length matrix.
-    """
-    n, m = y.shape
-    if batch_as_set:
-        return -r2_hv_approx(y, r, dirs) / n, -r2_hv_subgradient(y, r, dirs) / n
-    ratios = _ratio_tensor(y, r, dirs)  # (m, n, D)
-    lengths = ratios.min(axis=0)
-    values = dirs.c_m * np.sum(np.maximum(lengths, 0.0) ** m, axis=1)
-    rows, d_idx = np.nonzero(lengths > 0.0)
-    grad = _r2_credit(ratios, rows, d_idx, lengths[rows, d_idx], dirs)
-    return _batch_mean(-values), -grad / n
-
-
 def _psl_hv(y, prefs, ideal, config):
     # Projected distance along the unit direction of the clamped preference,
     # maximized, so its negative is the loss.
@@ -343,7 +322,8 @@ def _algorithm_loss(config: TrainConfig, problem: Problem):
     if config.algorithm in GPSL_ALGORITHMS:
         dirs = das_dennis(problem.m, config.directions_h or default_divisions(problem.m))
         r = np.full(problem.m, config.ref_offset)
-        return lambda y, latents: _hv_loss(y, r, dirs, config.hv_batch_as_set)
+        return lambda y, latents: (-r2_hv_approx(y, r, dirs) / len(y),
+                                   -r2_hv_subgradient(y, r, dirs) / len(y))
     preference = _PREFERENCE_LOSSES[config.algorithm]
     ideal = IdealPoint(z=np.zeros(problem.m), epsilon=config.tch_epsilon)
 

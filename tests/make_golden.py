@@ -34,15 +34,12 @@ SEED = 3
 # The final values recorded beside the digests.
 VALUES = ("loss", "hv_learned", "log_hv_difference")
 
-# (problem, algorithm, hv_batch_as_set): every algorithm on every problem,
-# plus gpsl-g scoring each sample as its own set.
-MATRIX = [(p, a, True) for p in PROBLEMS for a in ALGORITHMS] + [
-    (p, "gpsl-g", False) for p in PROBLEMS
-]
+# (problem, algorithm): every algorithm on every problem.
+MATRIX = [(p, a) for p in PROBLEMS for a in ALGORITHMS]
 
 
-def run_key(problem: str, algorithm: str, batch_as_set: bool) -> str:
-    return f"{problem}/{algorithm}" + ("" if batch_as_set else "/per-sample")
+def run_key(problem: str, algorithm: str) -> str:
+    return f"{problem}/{algorithm}"
 
 
 def environment() -> dict:
@@ -55,10 +52,9 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_digests(problem: str, algorithm: str, batch_as_set: bool, workdir: Path) -> dict:
+def run_digests(problem: str, algorithm: str, workdir: Path) -> dict:
     config = TrainConfig(problem=problem, algorithm=algorithm, iterations=60,
-                         eval_interval=20, eval_samples=200, seed=SEED,
-                         hv_batch_as_set=batch_as_set)
+                         eval_interval=20, eval_samples=200, seed=SEED)
     result = train(config)
     csv_path = workdir / "metrics.csv"
     write_metrics_csv(result.metrics, csv_path)

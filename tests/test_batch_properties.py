@@ -1,7 +1,6 @@
 """Property tests of the batch-native loss layer: each batched scalarization
-against its own one-row calls, the closed-form per-sample hypervolume loss
-against the loop over singleton sets that it replaced, and the evaluation's
-front normalizer against the inline min-max arithmetic it replaced."""
+against its own one-row calls, and the evaluation's front normalizer against
+the inline min-max arithmetic it replaced."""
 
 import numpy as np
 import pytest
@@ -12,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pslearn.hv import exact_hv, r2_hv_approx, r2_hv_subgradient
+from pslearn.hv import exact_hv
 from pslearn.problems import ParetoFrontData
-from pslearn.sampling import das_dennis
 from pslearn.scalarization import (
     IdealPoint,
     cosmos,
@@ -23,7 +21,7 @@ from pslearn.scalarization import (
     tchebycheff,
     weighted_sum,
 )
-from pslearn.trainer import MIN_RANGE, _hv_loss, _normalized_front
+from pslearn.trainer import MIN_RANGE, _normalized_front
 
 # Quarter steps force ties at the max/min operators and zero rows; the
 # floats cover the general case.
@@ -63,30 +61,6 @@ def test_batched_scalarizations_equal_their_row_calls(data):
         for i in range(n):
             for got, want in zip(batched, fn(f[i], p[i])):
                 assert np.array_equal(got[i], want, equal_nan=True), (name, i)
-
-
-def singleton_loop(y, r, dirs):
-    """The per-sample loop the closed form replaced: each row its own set."""
-    n = len(y)
-    loss = 0.0
-    grad = np.zeros_like(y)
-    for i in range(n):
-        loss -= r2_hv_approx(y[i : i + 1], r, dirs) / n
-        grad[i] = -r2_hv_subgradient(y[i : i + 1], r, dirs)[0] / n
-    return loss, grad
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_per_sample_hv_loss_equals_singleton_loop(data):
-    y = data.draw(_batches(_OBJ)) / 2.0  # normalized-space scale, some rows outside r
-    m = y.shape[1]
-    dirs = das_dennis(m, data.draw(st.integers(1, 6)))
-    r = np.full(m, 1.1)
-    loss, grad = _hv_loss(y, r, dirs, batch_as_set=False)
-    want_loss, want_grad = singleton_loop(y, r, dirs)
-    assert repr(loss) == repr(want_loss)  # the bits, the sign of zero included
-    assert np.array_equal(grad, want_grad)
 
 
 @settings(max_examples=300, deadline=None)

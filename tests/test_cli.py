@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ import pytest
 from pslearn import cli, network as net, trainer
 from pslearn.cli import CONFIG_KEYS, _base_kwargs, _parse_config_file, main
 from pslearn.trainer import TrainConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 FAST = [
     "--iters", "12",
@@ -248,7 +251,8 @@ class TestEval:
     @pytest.mark.parametrize("flags, message", [
         (["--problem", "zdt3", "--algo", "gpsl-l"], "algorithm 'gpsl-g', not 'gpsl-l'"),
         (["--problem", "dtlz7", "--algo", "gpsl-g"], "problem 'zdt3', not 'dtlz7'"),
-    ], ids=["algo", "problem"])
+        (["--problem", "zdt3", "--algo", "gpsl-g", "--latent-dim", "2"], "latent_dim 30, not 2"),
+    ], ids=["algo", "problem", "latent-dim"])
     def test_contradicting_the_checkpoint_is_an_error(self, tmp_path, capsys, flags, message):
         # gpsl-l at k = d has the same latent dimension as gpsl-g: without
         # the check it would score the model on the wrong sampler.
@@ -259,6 +263,18 @@ class TestEval:
         ckpt = out / "zdt3_gpsl-g_seed0.ckpt.npz"
         assert main(["eval", "--checkpoint", str(ckpt), *flags]) == 1
         assert capsys.readouterr().err == f"error: {ckpt}: trained with {message}\n"
+
+    def test_latent_dim_comes_from_the_checkpoint(self, tmp_path, capsys):
+        # A latent-dim ablation arm: the network's input width is 2, not d.
+        out = tmp_path / "out"
+        assert main(["run", "--problem", "zdt3", "--algo", "gpsl-g", "--latent-dim", "2",
+                     "--seeds", "1", "--out", str(out), *FAST]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out / "zdt3_gpsl-g_seed0.ckpt.npz"),
+                     "--problem", "zdt3", "--algo", "gpsl-g", "--eval-n", "40"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        final_row = (out / "zdt3_gpsl-g_seed0.csv").read_text().strip().splitlines()[-1]
+        assert payload["log_hv_difference"] == float(final_row.split(",")[-1])
 
     @pytest.mark.parametrize("seeds", [{"train_seed": 0}, [0, 1]], ids=["dict", "list"])
     def test_checkpoint_without_record_evaluates_as_given(self, tmp_path, capsys, seeds):
@@ -316,20 +332,12 @@ class TestConfigFile:
         rc = main(["run", "--config", str(cfg), "--algo", "gpsl-g", "--out", str(tmp_path)])
         assert rc == 1
 
-    @pytest.mark.parametrize("line", ["hv_batch_as_set = maybe", "iterations = x"])
+    @pytest.mark.parametrize("line", ["learning_rate = fast", "iterations = x"])
     def test_bad_value_names_path_and_line(self, tmp_path, line):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"problem = zdt3\n{line}\n")
         with pytest.raises(ValueError, match=re.escape(f"{cfg}:2: bad value")):
             _parse_config_file(cfg)
-
-    @pytest.mark.parametrize("text, expected", [
-        ("TRUE", True), ("yes", True), ("1", True), ("False", False), ("NO", False), ("0", False),
-    ])
-    def test_boolean_spellings(self, tmp_path, text, expected):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"hv_batch_as_set = {text}\n")
-        assert _parse_config_file(cfg)["hv_batch_as_set"] is expected
 
     def test_seed_key_rejected(self, tmp_path):
         # Runs train seeds 0..seeds-1, so a file `seed` would be ignored.
@@ -346,6 +354,14 @@ class TestConfigFile:
         passed = _base_kwargs({key: key for key in CONFIG_KEYS})
         for key in CONFIG_KEYS.keys() - cli_keys:
             assert key in fields and passed.get(key) == key, key
+
+    def test_readme_lists_exactly_the_config_keys(self):
+        # The flag table's key column plus the "keys without a flag" list.
+        text = README.read_text(encoding="utf-8")
+        flagged = re.findall(r"^\| `--[^|]*\| `(\w+)` \|$", text, flags=re.M)
+        unflagged = re.search(r"keys without a flag \(([^)]*)\)", text).group(1)
+        listed = flagged + re.findall(r"`(\w+)`", unflagged)
+        assert sorted(listed) == sorted(CONFIG_KEYS)
 
     @pytest.mark.parametrize("flag, key, file_value, flag_value", [
         ("--problem", "problem", "zdt3", "dtlz7"),
@@ -414,6 +430,8 @@ class TestUnrunnableSettings:
         ("eval_samples", "0"), ("directions_h", "0"), ("dirichlet_alpha", "0"),
         ("eval_seed", "-1"), ("learning_rate", "-1"), ("learning_rate", "nan"),
         ("beta1", "1"), ("beta2", "-0.5"), ("eps_adam", "0"), ("ref_offset", "0"),
+        ("ref_offset", "inf"), ("tch_epsilon", "nan"), ("cosmos_gamma", "nan"),
+        ("beta1", "nan"), ("eps_adam", "inf"), ("dirichlet_alpha", "inf"),
     ], ids=lambda value: value)
     def test_out_of_range_setting_names_its_key(self, tmp_path, capsys, key, value):
         # Each of these used to be replaced by a default, to fail after the
@@ -434,6 +452,17 @@ class TestUnrunnableSettings:
         assert main(["run", "--problem", "zdt3", "--algo", "psl-tch", "--latent-dim", "3",
                      "--seeds", "1", "--out", str(out), *FAST]) == 1
         assert "latent_dim 3 is not configurable" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_front_cell_leaves_no_directory(self, tmp_path, capsys):
+        # A nan row once scored every run as a perfect log HV difference.
+        front = tmp_path / "front.txt"
+        front.write_text("nan 0.5\n" + "".join(f"{x} {1 - x}\n" for x in (0.0, 0.5, 1.0)))
+        out = tmp_path / "out"
+        assert main(["run", "--problem", "zdt3", "--algo", "gpsl-g", "--seeds", "1",
+                     "--front", str(front), "--out", str(out), *FAST]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {front}: non-finite value at line 1: 'nan 0.5'\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [

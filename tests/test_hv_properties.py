@@ -25,7 +25,7 @@ from pslearn.hv import (
 )
 from pslearn import trainer
 from pslearn.sampling import das_dennis
-from pslearn.trainer import TrainConfig, _hv_loss, train
+from pslearn.trainer import TrainConfig, train
 
 from conftest import brute_force_nondominated, exact_hv_3d_reference, keep_3d_reference
 
@@ -159,9 +159,8 @@ def test_staircase_loop_equals_frozen_reference_on_learned_sets(problem, monkeyp
 
 def point_major_r2(pts, r, dirs):
     """The (n, D, m) ratio layout reduced over its trailing axis, as the
-    package computed it before: the R2 approximation, its subgradient, and
-    the per-sample loss and gradient of ``_hv_loss(..., batch_as_set=False)``."""
-    n, m = pts.shape
+    package computed it before: the R2 approximation and its subgradient."""
+    m = pts.shape[1]
     ratios = (r - pts)[:, None, :] / dirs.directions[None, :, :]
     inner = ratios.min(axis=2)
     approx = float(dirs.c_m * np.sum(np.maximum(inner.max(axis=0), 0.0) ** m))
@@ -176,16 +175,7 @@ def point_major_r2(pts, r, dirs):
         lam = dirs.directions[d_idx[active], coord[active]]
         contrib = dirs.c_m * m * s[active] ** (m - 1) * (-1.0 / lam)
         np.add.at(subgrad, (winner[active], coord[active]), contrib)
-
-    values = dirs.c_m * np.sum(np.maximum(inner, 0.0) ** m, axis=1)
-    rows, d_idx = np.nonzero(inner > 0.0)
-    coord = ratios[rows, d_idx].argmin(axis=1)
-    contrib = (dirs.c_m * m * inner[rows, d_idx] ** (m - 1)
-               * (-1.0 / dirs.directions[d_idx, coord]))
-    per_sample_grad = np.zeros_like(pts)
-    np.add.at(per_sample_grad, (rows, coord), contrib)
-    per_sample_loss = float(0.0 + np.cumsum(-values / n)[-1])
-    return approx, subgrad, per_sample_loss, -per_sample_grad / n
+    return approx, subgrad
 
 
 # Quarter steps put points on the reference point (r = 1 or 1.25), on each
@@ -207,9 +197,6 @@ def test_objective_major_r2_equals_point_major_layout(data):
         pts = np.concatenate([pts, pts[: len(pts) // 2 + 1]])  # duplicate rows
     dirs = das_dennis(m, data.draw(st.integers(1, 8)))
     r = np.full(m, data.draw(st.sampled_from([1.0, 1.1, 1.25])))
-    approx, subgrad, loss, grad = point_major_r2(pts, r, dirs)
+    approx, subgrad = point_major_r2(pts, r, dirs)
     assert repr(r2_hv_approx(pts, r, dirs)) == repr(approx)
     assert np.array_equal(r2_hv_subgradient(pts, r, dirs), subgrad, equal_nan=True)
-    got_loss, got_grad = _hv_loss(pts, r, dirs, batch_as_set=False)
-    assert repr(got_loss) == repr(loss)
-    assert np.array_equal(got_grad, grad, equal_nan=True)

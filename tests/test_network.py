@@ -245,6 +245,14 @@ class TestCheckpoint:
             net.load_checkpoint(path)
 
     @pytest.mark.parametrize("key", ["flat", "adam_m", "adam_v"])
+    def test_vectors_of_another_dtype_name_the_file_and_entry(self, tmp_path, key):
+        _, path = self.saved(tmp_path)
+        self.rewrite(path, lambda arrays: arrays.update({key: arrays[key].astype(np.float32)}))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: {key} has dtype float32, not float64")):
+            net.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["flat", "adam_m", "adam_v"])
     def test_vectors_of_another_size_name_the_file(self, tmp_path, key):
         _, path = self.saved(tmp_path)  # (2, 3, 2): 17 parameters
         self.rewrite(path, lambda arrays: arrays.update({key: arrays[key][:-1]}))

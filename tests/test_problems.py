@@ -2,6 +2,7 @@
 against a finite-difference oracle, front generation, and reference-front
 file parsing."""
 
+import re
 import zlib
 
 import numpy as np
@@ -192,6 +193,11 @@ class TestFronts:
         with pytest.raises(ValueError, match="read-only"):
             pareto_front("zdt3", n=50).points += 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(ValueError, match="front points must be finite"):
+            ParetoFrontData(points=[[0.0, 1.0], [bad, 0.5]], source="file")
+
     def test_engineering_problems_need_files(self):
         with pytest.raises(ValueError, match="load_reference_front"):
             pareto_front("four_bar_truss")
@@ -215,6 +221,14 @@ class TestLoadReferenceFront:
         path = tmp_path / "front.txt"
         path.write_text("1 2 x\n")
         with pytest.raises(ValueError, match="line 1"):
+            load_reference_front(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_line(self, tmp_path, cell):
+        path = tmp_path / "front.txt"
+        path.write_text(f"0 1\n# comment\n{cell} 0.5\n1 0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: non-finite value at line 3: '{cell} 0.5'")):
             load_reference_front(path)
 
     def test_empty_file_rejected(self, tmp_path):

@@ -188,19 +188,6 @@ class TestTrainLoop:
         assert str(err) == str(original)
         assert np.array_equal(err.params.flat, original.params.flat)
 
-    def test_batch_of_one_makes_both_estimate_modes_agree(self):
-        base = dict(problem="zdt3", iterations=6, batch_size=1, eval_interval=3,
-                    eval_samples=32, directions_h=5, hidden_sizes=(8,), seed=7)
-        set_mode = train(TrainConfig(algorithm="gpsl-g", hv_batch_as_set=True, **base)).metrics
-        per_sample = train(TrainConfig(algorithm="gpsl-g", hv_batch_as_set=False, **base)).metrics
-        assert deterministic_fields(set_mode) == deterministic_fields(per_sample)
-
-    def test_per_sample_mode_trains(self):
-        cfg = TrainConfig(problem="zdt3", algorithm="gpsl-g", hv_batch_as_set=False,
-                          seed=1, **TINY)
-        records = train(cfg).metrics.records
-        assert all(math.isfinite(r.loss) for r in records)
-
     def test_ideal_point_nonincreasing_over_run(self):
         # The Tchebycheff losses' ideal point is the extremes' running minimum.
         prob = get_problem("zdt3")
