@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import functools
 import json
 import os
@@ -18,7 +19,7 @@ import statistics
 import sys
 from pathlib import Path
 
-from .problems import available_problems, get_problem, load_reference_front, pareto_front
+from .problems import get_problem, load_reference_front, pareto_front
 from .trainer import (
     ALGORITHMS,
     GPSL_ALGORITHMS,
@@ -35,30 +36,15 @@ OUTPUT_ROOT_ENV = "PSLEARN_OUT"
 
 
 # Keys accepted in `key = value` config files; flags override file values.
-CONFIG_KEYS = {
-    "problem": str,
-    "algorithm": str,
-    "iterations": int,
-    "batch_size": int,
-    "latent_dim": int,
-    "learning_rate": float,
-    "beta1": float,
-    "beta2": float,
-    "eps_adam": float,
-    "directions_h": int,
-    "eval_samples": int,
-    "eval_interval": int,
-    "eval_seed": int,
-    "tch_epsilon": float,
-    "cosmos_gamma": float,
-    "dirichlet_alpha": float,
-    "ref_offset": float,
-    "seeds": int,
-    "front": str,
-    "out": str,
-}
-# Keys the CLI reads itself; every other key is a TrainConfig field.
+# Each TrainConfig field is one, parsed by its annotation, except `seed`
+# (runs train seeds 0..seeds-1) and `hidden_sizes`; the CLI reads CLI_KEYS.
 CLI_KEYS = ("seeds", "front", "out")
+_PARSERS = {"str": str, "int": int, "int | None": int, "float": float}
+CONFIG_KEYS = {
+    **{f.name: _PARSERS[f.type] for f in dataclasses.fields(TrainConfig)
+       if f.name not in ("seed", "hidden_sizes")},
+    "seeds": int, "front": str, "out": str,
+}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -141,7 +127,6 @@ def _run_one(task: dict) -> dict:
         "final_log_hv_difference": final.log_hv_difference,
         "seconds": final.seconds,
         "rows": [(rec.iteration, rec.log_hv_difference) for rec in result.metrics.records],
-        "csv": str(csv_path),
     }
 
 
@@ -150,14 +135,6 @@ def _dispatch(tasks: list[dict], workers: int) -> list[dict]:
         return [_run_one(task) for task in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_one, tasks))
-
-
-def _median_iqr(values: list[float]) -> tuple[float, float]:
-    med = statistics.median(values)
-    if len(values) < 2:
-        return med, 0.0
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return med, q3 - q1
 
 
 def _base_kwargs(settings: dict) -> dict:
@@ -202,20 +179,6 @@ def _collect_settings(args) -> dict:
     return settings
 
 
-def _validate_names(parser, problems, algorithms):
-    for problem in problems:
-        if problem not in available_problems():
-            parser.error(
-                f"unknown problem {problem!r}; valid problems: "
-                f"{', '.join(available_problems())}"
-            )
-    for algo in algorithms:
-        if algo not in ALGORITHMS:
-            parser.error(
-                f"unknown algorithm {algo!r}; valid algorithms: {', '.join(ALGORITHMS)}"
-            )
-
-
 def _write_long_csv(path: Path, results: list[dict]) -> None:
     lines = ["problem,algorithm,seed,iteration,log_hv_difference"]
     for res in results:
@@ -232,12 +195,12 @@ def _summarize(results: list[dict]) -> dict:
     summary: dict = {}
     for (problem, label), runs in sorted(groups.items()):
         finals = [r["final_log_hv_difference"] for r in runs]
-        med, iqr = _median_iqr(finals)
+        q1, _, q3 = statistics.quantiles(finals, n=4) if len(runs) > 1 else (0.0,) * 3
         summary.setdefault(problem, []).append(
             {
                 "algorithm": label,
-                "median_final_log_hv_difference": med,
-                "iqr_final_log_hv_difference": iqr,
+                "median_final_log_hv_difference": statistics.median(finals),
+                "iqr_final_log_hv_difference": q3 - q1,
                 "per_seed": {str(r["seed"]): r["final_log_hv_difference"] for r in runs},
                 "seconds": {str(r["seed"]): r["seconds"] for r in runs},
             }
@@ -252,8 +215,14 @@ def _grid(settings: dict, arms, workers: int, name: str) -> int:
     out_dir, tasks = _build_tasks(settings, arms)
     results = _dispatch(tasks, workers)
     _write_long_csv(out_dir / f"{name}.csv", results)
-    _atomic(out_dir / f"{name}_summary.json", json.dumps(_summarize(results), indent=2) + "\n")
+    summary = _summarize(results)
+    _atomic(out_dir / f"{name}_summary.json", json.dumps(summary, indent=2) + "\n")
     print(f"wrote {out_dir / f'{name}.csv'} ({len(results)} runs)")
+    for problem, rows in summary.items():
+        for row in rows:
+            print(f"{problem} {row['algorithm']}: median final log HV difference: "
+                  f"{row['median_final_log_hv_difference']:.6f} "
+                  f"(IQR {row['iqr_final_log_hv_difference']:.6f})")
     return 0
 
 
@@ -267,38 +236,21 @@ def cmd_run(parser, args) -> int:
     algorithm = settings.get("algorithm")
     if not problem or not algorithm:
         parser.error("run requires --problem and --algo (or a config file setting them)")
-    _validate_names(parser, [problem], [algorithm])
     arm = (algorithm, {"problem": problem, "algorithm": algorithm})
-    out_dir, tasks = _build_tasks(settings, [arm])
-    results = _dispatch(tasks, args.workers)
-    finals = [r["final_log_hv_difference"] for r in results]
-    med, iqr = _median_iqr(finals)
-    summary = {
-        "problem": problem,
-        "algorithm": algorithm,
-        "seeds": [r["seed"] for r in results],
-        "median_final_log_hv_difference": med,
-        "iqr_final_log_hv_difference": iqr,
-        "per_seed_final_log_hv_difference": {str(r["seed"]): r["final_log_hv_difference"] for r in results},
-        "per_seed_seconds": {str(r["seed"]): r["seconds"] for r in results},
-        "files": [r["csv"] for r in results],
-    }
-    summary_path = out_dir / f"{problem}_{algorithm}_summary.json"
-    _atomic(summary_path, json.dumps(summary, indent=2) + "\n")
-    print(f"wrote {len(results)} metrics CSV(s) and {summary_path}")
-    print(f"median final log HV difference: {med:.6f} (IQR {iqr:.6f})")
-    return 0
+    return _grid(settings, [arm], args.workers, f"{problem}_{algorithm}")
 
 
 def cmd_compare(parser, args) -> int:
     settings = _collect_settings(args)
     problems = args.problems.split(",") if args.problems else [settings.get("problem")]
-    algorithms = args.algos.split(",") if args.algos else list(ALGORITHMS)
-    problems = [p.strip() for p in problems if p and p.strip()]
-    algorithms = [a.strip() for a in algorithms if a.strip()]
+    algorithms = args.algos.split(",") if args.algos is not None else ALGORITHMS
+    # A repeated name would train its runs twice and count them twice.
+    problems = list(dict.fromkeys(p.strip() for p in problems if p and p.strip()))
+    algorithms = list(dict.fromkeys(a.strip() for a in algorithms if a.strip()))
     if not problems:
         parser.error("compare requires --problems (comma-separated list)")
-    _validate_names(parser, problems, algorithms)
+    if not algorithms:
+        parser.error("--algos names no algorithm (omit it to compare all)")
     if settings.get("front") and len(problems) > 1:
         parser.error(
             f"--front gives one reference front, but the grid has {len(problems)} "
@@ -317,7 +269,6 @@ def cmd_ablate(parser, args) -> int:
     problem = settings.get("problem")
     if not problem:
         parser.error("ablate requires --problem")
-    _validate_names(parser, [problem], [])
     kind = args.kind
     prob = get_problem(problem)
     if kind == "latent-dim":
@@ -340,19 +291,18 @@ def cmd_eval(parser, args) -> int:
     algorithm = settings.get("algorithm")
     if not problem_name or not algorithm:
         parser.error("eval requires --problem and --algo")
-    _validate_names(parser, [problem_name], [algorithm])
     params, _, seeds = net.load_checkpoint(args.checkpoint)
     # Checkpoints from before the record, or from outside the CLI, lack it;
     # the latent dimension is always the network's input width.
     trained = {**(seeds if isinstance(seeds, dict) else {}), "latent_dim": params.layer_sizes[0]}
     settings.setdefault("latent_dim", trained["latent_dim"])
+    problem = get_problem(problem_name)
+    config = TrainConfig(**_base_kwargs(settings))
     for key in ("problem", "algorithm", "latent_dim"):
         if trained.get(key, settings[key]) != settings[key]:
             raise ValueError(f"{args.checkpoint}: trained with {key} {trained[key]!r}, "
                              f"not {settings[key]!r}")
-    problem = get_problem(problem_name)
     front = _load_front(problem_name, settings.get("front"))
-    config = TrainConfig(**_base_kwargs(settings))
     draw, _, _ = latent_sampler(config, problem)
     report = evaluate_model(
         params, problem, draw, front,

@@ -251,7 +251,7 @@ def exact_hv(points, ref) -> float:
     return _hv_wfg(nondominated_filter(pts), r)
 
 
-def _ratio_tensor(pts: np.ndarray, r: np.ndarray, dirs: DirectionSet) -> np.ndarray:
+def _ratio_tensor(points, ref, dirs: DirectionSet) -> np.ndarray:
     """The ratios ``(r - p) / lambda``, objective-major: C-contiguous (m, n, D).
 
     Reduce over the leading objective axis: numpy reduces a short trailing
@@ -259,6 +259,10 @@ def _ratio_tensor(pts: np.ndarray, r: np.ndarray, dirs: DirectionSet) -> np.ndar
     passes. Division, ``min`` and ``argmin`` are exact and ``argmin`` keeps
     the lowest index on ties, so the layout does not change any value.
     """
+    pts = _as_points(points)
+    if len(pts) == 0:
+        raise ValueError("the R2 hypervolume approximation requires a non-empty point set")
+    r = np.asarray(ref, dtype=float).reshape(-1)
     lam = np.ascontiguousarray(dirs.directions.T)  # (m, D)
     return (r[:, None] - pts.T)[:, :, None] / lam[:, None, :]
 
@@ -272,14 +276,9 @@ def r2_hv_approx(points, ref, dirs: DirectionSet) -> float:
     Negative lengths (points outside the reference box in every coordinate of
     some direction) are floored at zero so each term stays a volume.
     """
-    pts = _as_points(points)
-    if len(pts) == 0:
-        raise ValueError("r2_hv_approx requires a non-empty point set")
-    r = np.asarray(ref, dtype=float).reshape(-1)
-    m = r.size
-    inner = _ratio_tensor(pts, r, dirs).min(axis=0)  # (n, D) projected lengths
-    best = np.maximum(inner.max(axis=0), 0.0)
-    return float(dirs.c_m * np.sum(best**m))
+    ratios = _ratio_tensor(points, ref, dirs)  # (m, n, D)
+    best = np.maximum(ratios.min(axis=0).max(axis=0), 0.0)  # (D,) projected lengths
+    return float(dirs.c_m * np.sum(best ** ratios.shape[0]))
 
 
 def r2_hv_subgradient(points, ref, dirs: DirectionSet) -> np.ndarray:
@@ -290,9 +289,7 @@ def r2_hv_subgradient(points, ref, dirs: DirectionSet) -> np.ndarray:
     (ties broken toward the lowest point index / lowest coordinate). Points
     never selected receive exactly zero gradient.
     """
-    pts = _as_points(points)
-    r = np.asarray(ref, dtype=float).reshape(-1)
-    ratios = _ratio_tensor(pts, r, dirs)  # (m, n, D)
+    ratios = _ratio_tensor(points, ref, dirs)  # (m, n, D)
     inner = ratios.min(axis=0)  # (n, D)
     winner = inner.argmax(axis=0)  # lowest index on ties
     d_idx = np.arange(dirs.directions.shape[0])

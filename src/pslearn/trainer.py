@@ -115,7 +115,7 @@ class TrainConfig:
             (("iterations", "batch_size", "eval_interval", "eval_samples"),
              lambda x: x >= 1, ">= 1"),
             (("latent_dim", "directions_h"), lambda x: x is None or x >= 1, ">= 1"),
-            (("eval_seed",), lambda x: x >= 0, ">= 0"),
+            (("seed", "eval_seed", "tch_epsilon", "cosmos_gamma"), lambda x: x >= 0, ">= 0"),
             (("learning_rate", "eps_adam", "dirichlet_alpha", "ref_offset"),
              lambda x: x > 0, "> 0"),
             (("beta1", "beta2"), lambda x: 0 <= x < 1, "in [0, 1)"),

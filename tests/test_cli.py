@@ -14,9 +14,14 @@ import pytest
 
 from pslearn import cli, network as net, trainer
 from pslearn.cli import CONFIG_KEYS, _base_kwargs, _parse_config_file, main
-from pslearn.trainer import TrainConfig
+from pslearn.problems import available_problems
+from pslearn.trainer import ALGORITHMS, TrainConfig
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+# What an unknown name's error lists.
+VALID_PROBLEMS = ", ".join(available_problems())
+VALID_ALGORITHMS = ", ".join(ALGORITHMS)
 
 FAST = [
     "--iters", "12",
@@ -28,7 +33,9 @@ FAST = [
 
 
 def run_cli(args, env_extra=None):
+    # The subprocess finds the package whether or not it is installed.
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -47,11 +54,30 @@ class TestRun:
         assert rc == 0
         csvs = sorted(out.glob("*_seed*.csv"))
         assert len(csvs) == 3
-        assert (out / "zdt3_gpsl-g_summary.json").exists()
-        summary = json.loads((out / "zdt3_gpsl-g_summary.json").read_text())
-        assert summary["seeds"] == [0, 1, 2]
-        assert "median_final_log_hv_difference" in summary
-        assert "iqr_final_log_hv_difference" in summary
+        # A run is a one-arm grid: the long CSV and summary of `compare`.
+        lines = (out / "zdt3_gpsl-g.csv").read_text().splitlines()
+        assert lines[0] == "problem,algorithm,seed,iteration,log_hv_difference"
+        assert len(lines) - 1 == 3 * (12 // 6 + 1)
+        (row,) = json.loads((out / "zdt3_gpsl-g_summary.json").read_text())["zdt3"]
+        assert row["algorithm"] == "gpsl-g"
+        assert list(row["per_seed"]) == list(row["seconds"]) == ["0", "1", "2"]
+        assert "median_final_log_hv_difference" in row
+        assert "iqr_final_log_hv_difference" in row
+
+    def test_same_grid_entry_as_compare(self, tmp_path):
+        run, grid = tmp_path / "run", tmp_path / "compare"
+        assert main(["run", "--problem", "zdt3", "--algo", "gpsl-g", "--seeds", "2",
+                     "--out", str(run), *FAST]) == 0
+        assert main(["compare", "--problems", "zdt3", "--algos", "gpsl-g", "--seeds", "2",
+                     "--out", str(grid), *FAST]) == 0
+
+        def entry(path):
+            (row,) = json.loads(path.read_text())["zdt3"]
+            del row["seconds"]  # wall clock
+            return row
+
+        assert entry(run / "zdt3_gpsl-g_summary.json") == entry(grid / "compare_summary.json")
+        assert (run / "zdt3_gpsl-g.csv").read_bytes() == (grid / "compare.csv").read_bytes()
 
     def test_rerun_byte_identical_csvs(self, tmp_path):
         out_a = tmp_path / "a"
@@ -64,15 +90,17 @@ class TestRun:
 
     def test_unknown_problem_exits_nonzero_listing_names(self, tmp_path):
         result = run_cli(["run", "--problem", "nope", "--algo", "gpsl-g",
-                          "--out", str(tmp_path), *FAST])
-        assert result.returncode != 0
-        assert "zdt3" in result.stderr
+                          "--out", str(tmp_path / "out"), *FAST])
+        assert result.returncode == 1
+        assert VALID_PROBLEMS in result.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_algorithm_exits_nonzero_listing_names(self, tmp_path):
         result = run_cli(["run", "--problem", "zdt3", "--algo", "bogus",
-                          "--out", str(tmp_path), *FAST])
-        assert result.returncode != 0
-        assert "gpsl-g" in result.stderr
+                          "--out", str(tmp_path / "out"), *FAST])
+        assert result.returncode == 1
+        assert VALID_ALGORITHMS in result.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_checkpoint_written_per_seed(self, tmp_path):
         out = tmp_path / "out"
@@ -152,6 +180,24 @@ class TestCompare:
         assert lines[0] == "iteration,loss,hv_learned,hv_true,log_hv_difference"
         assert len(lines) == 1 + 12 // 6 + 1
         assert not list(out.glob("*.tmp*"))
+
+    @pytest.mark.parametrize("algos", [",", " , ", ""], ids=["comma", "blank", "empty"])
+    def test_empty_algorithm_list_is_a_usage_error(self, tmp_path, capsys, algos):
+        with pytest.raises(SystemExit) as err:
+            main(["compare", "--problems", "zdt3", "--algos", algos,
+                  "--out", str(tmp_path / "out"), *FAST])
+        assert err.value.code == 2
+        assert "--algos names no algorithm" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_names_run_once(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["compare", "--problems", "zdt3,zdt3", "--algos", "gpsl-g, gpsl-g",
+                     "--seeds", "2", "--out", str(out), *FAST]) == 0
+        lines = (out / "compare.csv").read_text().strip().splitlines()
+        assert len(lines) - 1 == 2 * (12 // 6 + 1)
+        (row,) = json.loads((out / "compare_summary.json").read_text())["zdt3"]
+        assert list(row["per_seed"]) == ["0", "1"]
 
     def test_front_file_rejected_for_several_problems(self, tmp_path, capsys):
         front = tmp_path / "front.txt"
@@ -432,6 +478,7 @@ class TestUnrunnableSettings:
         ("beta1", "1"), ("beta2", "-0.5"), ("eps_adam", "0"), ("ref_offset", "0"),
         ("ref_offset", "inf"), ("tch_epsilon", "nan"), ("cosmos_gamma", "nan"),
         ("beta1", "nan"), ("eps_adam", "inf"), ("dirichlet_alpha", "inf"),
+        ("tch_epsilon", "-5"), ("cosmos_gamma", "-3"),
     ], ids=lambda value: value)
     def test_out_of_range_setting_names_its_key(self, tmp_path, capsys, key, value):
         # Each of these used to be replaced by a default, to fail after the
@@ -443,6 +490,29 @@ class TestUnrunnableSettings:
         assert main(["run", "--problem", "zdt3", "--algo", "gpsl-d", "--seeds", "1",
                      "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: need {key} ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, valid", [
+        (["compare", "--problems", "zdt3,nope", "--algos", "gpsl-g"], VALID_PROBLEMS),
+        (["compare", "--problems", "zdt3", "--algos", "gpsl-g,bogus"], VALID_ALGORITHMS),
+        (["ablate", "latent-dim", "--problem", "nope"], VALID_PROBLEMS),
+        (["eval", "--problem", "nope", "--algo", "gpsl-g"], VALID_PROBLEMS),
+        (["eval", "--problem", "zdt3", "--algo", "bogus"], VALID_ALGORITHMS),
+    ], ids=["compare-problem", "compare-algo", "ablate-problem", "eval-problem", "eval-algo"])
+    def test_unknown_name_lists_the_valid_ones(self, tmp_path, capsys, command, valid):
+        # `get_problem` and `TrainConfig` reject the name, as for `run`.
+        if command[0] == "eval":
+            params = net.init_network((30, 4, 30), seed=0)
+            ckpt = tmp_path / "zdt3.ckpt.npz"
+            seeds = {"problem": "zdt3", "algorithm": "gpsl-g"}
+            net.save_checkpoint(ckpt, params, net.init_adam(params), seeds)
+            command = [*command, "--checkpoint", str(ckpt)]
+        else:
+            command = [*command, "--seeds", "1", *FAST]
+        out = tmp_path / "out"
+        assert main([*command, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown ") and valid in err
         assert not out.exists()
 
     def test_rejected_latent_dim_leaves_no_directory(self, tmp_path, capsys):

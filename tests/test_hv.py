@@ -147,6 +147,12 @@ class TestR2Approx:
 
 
 class TestR2Subgradient:
+    @pytest.mark.parametrize("fn", [r2_hv_approx, r2_hv_subgradient], ids=lambda fn: fn.__name__)
+    def test_empty_set_rejected_with_one_message(self, fn):
+        with pytest.raises(ValueError, match="^the R2 hypervolume approximation requires "
+                                             "a non-empty point set$"):
+            fn(np.empty((0, 2)), [1, 1], diag_direction_set())
+
     def test_single_point_tie_broken_to_first_coordinate(self):
         grad = r2_hv_subgradient([[0.0, 0.0]], [1.0, 1.0], diag_direction_set())
         np.testing.assert_allclose(grad, [[-math.pi, 0.0]], rtol=1e-12)

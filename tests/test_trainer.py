@@ -92,6 +92,11 @@ class TestConfig:
         assert TrainConfig(problem="zdt3", algorithm="gpsl-d").resolved_latent_dim(zdt3) == 2
         assert TrainConfig(problem="zdt3", algorithm="psl-tch").resolved_latent_dim(zdt3) == 2
 
+    def test_negative_seed_names_its_key(self):
+        # numpy's seeding would reject it later without naming the key.
+        with pytest.raises(ValueError, match="^need seed >= 0, got -1$"):
+            TrainConfig(problem="zdt3", algorithm="gpsl-g", seed=-1)
+
     def test_dirichlet_latent_dim_not_configurable(self):
         cfg = TrainConfig(problem="zdt3", algorithm="psl-ls", latent_dim=5)
         with pytest.raises(ValueError, match="simplex"):
