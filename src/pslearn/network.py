@@ -7,6 +7,11 @@ to (n, d) decision vectors, and :func:`backward` takes the (n, d) gradient.
 Parameters, gradients, Adam moments and checkpoints share one layout: a
 flat float64 vector holding w0, b0, w1, b1, ... layer by layer.
 
+Training keeps one :class:`NetworkParams` and one :class:`AdamState` per
+run: :func:`adam_step` updates the flat vector and both moments in place,
+so the per-layer views stay valid across steps, and a gradient it rejects
+leaves all of them untouched.
+
 The output layer applies ``x = lb + sigmoid(z) * (ub - lb)``, so every output
 lies strictly inside the bounds and no downstream clipping is ever needed.
 Latent inputs are standardised by a fixed affine transform stored with the
@@ -29,6 +34,7 @@ import threading
 import zipfile
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -47,11 +53,12 @@ __all__ = [
 ]
 
 
-def _layer_offsets(layer_sizes) -> list[int]:
+@lru_cache(maxsize=None)
+def _layer_offsets(layer_sizes: tuple[int, ...]) -> tuple[int, ...]:
     """Where each layer's block (its weights, then its biases) starts in the
-    flat vector, then the parameter count."""
+    flat vector, then the parameter count; computed once per size tuple."""
     blocks = (fan_out * (fan_in + 1) for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
-    return list(accumulate(blocks, initial=0))
+    return tuple(accumulate(blocks, initial=0))
 
 
 def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -73,7 +80,9 @@ class NetworkParams:
     layer by layer. ``weights[l]`` (shape (layer_sizes[l+1], layer_sizes[l]))
     and ``biases[l]`` (the output side) are reshaped views of it, so an
     in-place edit of either writes through. ``input_offset``/``input_scale``
-    define the fixed input standardisation ``v' = (v - offset) / scale``.
+    define the fixed input standardisation ``v' = (v - offset) / scale``:
+    finite float64 vectors of shape ``(layer_sizes[0],)``, the scale
+    strictly positive.
     """
 
     layer_sizes: tuple[int, ...]
@@ -91,6 +100,15 @@ class NetworkParams:
                 f"layer sizes {sizes} need a float64 vector of {size} parameters, "
                 f"got {self.flat.dtype} of shape {self.flat.shape}"
             )
+        k = sizes[0]
+        for name, array, positive in (("input_offset", self.input_offset, False),
+                                      ("input_scale", self.input_scale, True)):
+            if array.dtype != np.float64 or array.shape != (k,):
+                raise ValueError(f"{name} must be a float64 vector of shape ({k},), "
+                                 f"got {array.dtype} of shape {array.shape}")
+            if not np.all(np.isfinite(array)) or (positive and not np.all(array > 0.0)):
+                need = "finite and strictly positive" if positive else "finite"
+                raise ValueError(f"{name} must be {need}, got {array}")
         self.weights, self.biases = _layer_views(self.flat, sizes)
 
     def __reduce__(self):
@@ -156,8 +174,6 @@ def init_network(
     scale = np.ones(k) if input_scale is None else np.broadcast_to(
         np.asarray(input_scale, dtype=float), (k,)
     ).copy()
-    if np.any(scale <= 0.0):
-        raise ValueError("input_scale must be strictly positive")
     params = NetworkParams(
         layer_sizes=sizes,
         flat=np.zeros(_layer_offsets(sizes)[-1]),
@@ -228,8 +244,10 @@ def forward(params: NetworkParams, v, lb, ub):
     activations = [np.empty((len(v), size)) for size in params.layer_sizes]
     _layers(params, v, activations)
     sig = _sigmoid(activations[-1])
-    x = lb + sig * (ub - lb)
-    return x, {"activations": activations, "sigmoid": sig, "span": ub - lb}
+    span = ub - lb
+    x = sig * span
+    np.add(lb, x, out=x)
+    return x, {"activations": activations, "sigmoid": sig, "span": span}
 
 
 # The calling thread's buffers for _predict: one set, for the last
@@ -275,7 +293,9 @@ def backward(params: NetworkParams, cache, upstream):
             f"upstream gradient has shape {upstream.shape}, cached forward produced {sig.shape}"
         )
     # Through the output squashing x = lb + sigmoid(z) * span.
-    delta = upstream * cache["span"] * sig * (1.0 - sig)
+    delta = upstream * cache["span"]
+    delta *= sig
+    delta *= 1.0 - sig
     grad = np.empty_like(params.flat)
     grad_w, grad_b = _layer_views(grad, params.layer_sizes)
     for layer in range(params.n_layers() - 1, -1, -1):
@@ -284,7 +304,8 @@ def backward(params: NetworkParams, cache, upstream):
         delta.sum(axis=0, out=grad_b[layer])
         if layer > 0:
             # relu(z) > 0 exactly where z > 0, NaN included.
-            delta = (delta @ params.weights[layer]) * (cache["activations"][layer] > 0.0)
+            delta = delta @ params.weights[layer]
+            delta *= cache["activations"][layer] > 0.0
     return grad
 
 
@@ -305,18 +326,26 @@ def init_adam(
     )
 
 
-def adam_step(params: NetworkParams, grad, state: AdamState):
-    """One Adam update with bias correction; returns new (params, state).
+def adam_step(params: NetworkParams, grad, state: AdamState) -> None:
+    """One Adam update with bias correction, in place.
 
-    ``grad`` is laid out like ``params.flat``, as :func:`backward` returns
-    it. The update runs once on the flat vector. Its arithmetic is
-    elementwise, so every parameter gets the bits a per-layer update gives.
-    The new params share the fixed input standardisation arrays.
-    Raises :class:`NonFiniteGradient`, naming the first offending layer, when
-    the gradient holds a NaN or an infinity.
+    ``grad`` is a float64 vector laid out like ``params.flat``, as
+    :func:`backward` returns it. The update writes ``params.flat`` (and so
+    every layer view), ``state.m`` and ``state.v`` in place and increments
+    ``state.t``. Its arithmetic is elementwise, so every parameter gets the
+    bits a per-layer update gives. Every check runs before the first write,
+    so a rejected gradient leaves the parameters and the state untouched:
+    a gradient or moments of another shape or dtype raise ``ValueError``,
+    and a gradient holding a NaN or an infinity raises
+    :class:`NonFiniteGradient`, naming the first offending layer.
     """
-    if grad.shape != params.flat.shape:
-        raise ValueError(f"gradient has shape {grad.shape}, parameters {params.flat.shape}")
+    flat, m, v = params.flat, state.m, state.v
+    if grad.dtype != np.float64 or grad.shape != flat.shape:
+        raise ValueError(f"gradient has shape {grad.shape} and dtype {grad.dtype}, "
+                         f"parameters float64 of shape {flat.shape}")
+    if not all(moment.dtype == np.float64 and moment.shape == flat.shape for moment in (m, v)):
+        raise ValueError(f"Adam moments must be float64 of shape {flat.shape}, got m "
+                         f"{m.dtype} of shape {m.shape} and v {v.dtype} of shape {v.shape}")
     finite = np.isfinite(grad)
     if not finite.all():
         first = int(np.argmin(finite))
@@ -325,10 +354,24 @@ def adam_step(params: NetworkParams, grad, state: AdamState):
     b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    m = b1 * state.m + (1.0 - b1) * grad
-    v = b2 * state.v + (1.0 - b2) * grad**2
-    theta = params.flat - lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
-    return replace(params, flat=theta), replace(state, m=m, v=v, t=t)
+    # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g**2, then
+    # theta -= lr * (m / corr1) / (sqrt(v / corr2) + eps): the expressions
+    # of an out-of-place update, in the same order, through two temporaries.
+    step = np.multiply(1.0 - b1, grad)
+    m *= b1
+    m += step
+    denom = np.square(grad)
+    denom *= 1.0 - b2
+    v *= b2
+    v += denom
+    np.divide(v, corr2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    np.divide(m, corr1, out=step)
+    step *= lr
+    step /= denom
+    flat -= step
+    state.t = t
 
 
 # The Adam step count and settings that a checkpoint's meta records.
@@ -363,7 +406,8 @@ def load_checkpoint(path):
     A file that :func:`save_checkpoint` did not write raises ``ValueError``
     naming the path and, for a readable ``.npz`` archive, the entry or
     ``meta`` key it lacks (``flat``, for a per-layer file), a wrong size or
-    a parameter or moment array that is not float64.
+    a parameter or moment array that is not float64, or an input
+    standardisation that :class:`NetworkParams` rejects.
     """
     try:
         archive = np.load(path)
@@ -400,6 +444,9 @@ def load_checkpoint(path):
     if not flat.shape == m.shape == v.shape == (size,):
         raise ValueError(f"{path}: layer sizes {sizes} need {size} parameters and moments, "
                          f"got shapes {flat.shape}, {m.shape} and {v.shape}")
-    params = NetworkParams(layer_sizes=sizes, flat=flat, input_offset=entry("input_offset"),
-                           input_scale=entry("input_scale"))
+    try:
+        params = NetworkParams(layer_sizes=sizes, flat=flat, input_offset=entry("input_offset"),
+                               input_scale=entry("input_scale"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return params, AdamState(m=m, v=v, **adam), seeds

@@ -168,7 +168,11 @@ class TrainResult:
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss or a parameter gradient becomes non-finite."""
+    """Raised when the training loss or a parameter gradient becomes non-finite.
+
+    ``params`` is the live model of the failed step, before any update: the
+    parameters the failing batch was computed from.
+    """
 
     def __init__(self, seed: int, iteration: int, cause: str, params: net.NetworkParams):
         super().__init__(f"seed {seed}: non-finite {cause} at iteration {iteration}")
@@ -471,7 +475,7 @@ def _train_loop(config: TrainConfig, problem: Problem, front: ParetoFrontData,
         if not math.isfinite(loss):
             raise TrainingDiverged(config.seed, iteration, "loss", params)
         try:
-            params, state = net.adam_step(params, grad, state)
+            net.adam_step(params, grad, state)
         except net.NonFiniteGradient as err:
             raise TrainingDiverged(config.seed, iteration, "gradient", params) from err
         if iteration % config.eval_interval == 0 or iteration == config.iterations:

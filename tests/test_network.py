@@ -40,6 +40,25 @@ class TestInit:
         with pytest.raises(ValueError):
             net.init_network((5,), seed=0)
 
+    @pytest.mark.parametrize("offset, scale, message", [
+        (np.zeros(2), np.ones(3), r"input_offset must be a float64 vector of shape \(3,\)"),
+        (np.zeros(3), np.ones((1, 3)), r"input_scale must be a float64 vector of shape \(3,\)"),
+        (np.zeros(3, dtype=np.float32), np.ones(3), "input_offset must be a float64 vector"),
+        (np.zeros(3), np.array([1.0, 0.0, 1.0]), "input_scale must be finite and strictly"),
+        (np.zeros(3), np.array([1.0, np.nan, 1.0]), "input_scale must be finite and strictly"),
+        (np.array([0.0, -np.inf, 0.0]), np.ones(3), "input_offset must be finite"),
+    ])
+    def test_params_reject_a_bad_input_standardisation(self, offset, scale, message):
+        # (3, 4, 2): 26 parameters; the standardisation acts on 3 inputs.
+        with pytest.raises(ValueError, match=message):
+            net.NetworkParams((3, 4, 2), np.zeros(26), offset, scale)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_init_rejects_a_scale_that_is_not_finite_and_positive(self, scale):
+        # init_network broadcasts the scale; NetworkParams checks its values.
+        with pytest.raises(ValueError, match="input_scale must be finite and strictly positive"):
+            net.init_network((3, 4, 2), 0, input_scale=scale)
+
 
 class TestForward:
     def test_zero_params_map_to_box_midpoint(self):
@@ -138,31 +157,38 @@ def layered(params, w_fill, b_fill):
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = small_net(seed=9)
+        before = params.copy()
         state = net.init_adam(params)
-        new_params, new_state = net.adam_step(params, np.zeros_like(params.flat), state)
-        for a, b in zip(params.weights, new_params.weights):
+        net.adam_step(params, np.zeros_like(params.flat), state)
+        for a, b in zip(before.weights, params.weights):
             np.testing.assert_array_equal(a, b)
-        assert new_state.t == 1
+        assert state.t == 1
 
     def test_first_step_is_signed_learning_rate(self):
         # With bias correction, step one moves by -lr * g / (|g| + eps).
         params = small_net(seed=4)
         lr = 1e-3
+        before = params.copy()
         state = net.init_adam(params, learning_rate=lr)
-        new_params, _ = net.adam_step(params, layered(params, 0.25, -3.0), state)
-        dw = new_params.weights[0] - params.weights[0]
-        db = new_params.biases[0] - params.biases[0]
+        net.adam_step(params, layered(params, 0.25, -3.0), state)
+        dw = params.weights[0] - before.weights[0]
+        db = params.biases[0] - before.biases[0]
         np.testing.assert_allclose(dw, -lr * 0.25 / (0.25 + state.eps), rtol=1e-12)
         np.testing.assert_allclose(db, lr * 3.0 / (3.0 + state.eps), rtol=1e-12)
 
     def test_deterministic(self, rng):
+        # Two copies of one model and state, stepped with one gradient.
         params = small_net(seed=6)
-        state = net.init_adam(params)
+        twin = params.copy()
+        state, twin_state = net.init_adam(params), net.init_adam(twin)
         grad = rng.standard_normal(params.flat.shape)
-        out1 = net.adam_step(params, grad, state)
-        out2 = net.adam_step(params, grad, state)
-        for a, b in zip(out1[0].weights, out2[0].weights):
+        net.adam_step(params, grad, state)
+        net.adam_step(twin, grad, twin_state)
+        assert not np.array_equal(params.flat, small_net(seed=6).flat)
+        for a, b in zip(params.weights, twin.weights):
             np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(state.m, twin_state.m)
+        np.testing.assert_array_equal(state.v, twin_state.v)
 
     def test_nonfinite_gradient_names_layer(self):
         params = small_net()
@@ -176,8 +202,39 @@ class TestAdam:
     @pytest.mark.parametrize("shape", [(122,), (124,), (1, 123)])
     def test_gradient_of_another_shape_rejected(self, shape):
         params = small_net()  # (2, 8, 8, 3): 123 parameters
+        state = net.init_adam(params)
+        net.adam_step(params, np.ones(123), state)
+        before = params.flat.copy(), state.m.copy(), state.v.copy()
         with pytest.raises(ValueError, match=rf"gradient has shape \({shape[0]},"):
-            net.adam_step(params, np.zeros(shape), net.init_adam(params))
+            net.adam_step(params, np.zeros(shape), state)
+        # Rejected before the first write.
+        for now, was in zip((params.flat, state.m, state.v), before):
+            np.testing.assert_array_equal(now, was)
+        assert state.t == 1
+
+    def test_float32_gradient_rejected(self):
+        params = small_net()
+        with pytest.raises(ValueError, match=r"shape \(123,\) and dtype float32"):
+            net.adam_step(params, np.zeros(123, dtype=np.float32), net.init_adam(params))
+
+    @pytest.mark.parametrize("key, moment", [
+        ("m", np.zeros(1)),  # would broadcast into a full-size m
+        ("v", np.zeros(122)),
+        ("m", np.zeros(123, dtype=np.float32)),  # would be rounded on every step
+        ("v", np.zeros((1, 123))),
+    ])
+    def test_moments_unlike_the_parameters_rejected(self, key, moment):
+        params = small_net()  # 123 parameters
+        before = params.flat.copy()
+        state = net.init_adam(params)
+        setattr(state, key, moment)
+        m, v = state.m.copy(), state.v.copy()
+        with pytest.raises(ValueError, match=re.escape(
+                f"Adam moments must be float64 of shape (123,), got m {state.m.dtype} of "
+                f"shape {state.m.shape} and v {state.v.dtype} of shape {state.v.shape}")):
+            net.adam_step(params, np.ones(123), state)
+        assert np.array_equal(params.flat, before)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v) and state.t == 0
 
 
 class TestCheckpoint:
@@ -200,7 +257,7 @@ class TestCheckpoint:
     def test_exact_round_trip(self, tmp_path, rng):
         params = net.init_network((3, 16, 5), seed=12, input_offset=[1.0, 2.0, 3.0])
         state = net.init_adam(params, learning_rate=5e-4, beta1=0.8)
-        params, state = net.adam_step(params, rng.standard_normal(params.flat.shape), state)
+        net.adam_step(params, rng.standard_normal(params.flat.shape), state)
         seeds = {"train_seed": 3, "eval_seed": 77}
         path = tmp_path / "model.ckpt.npz"
         net.save_checkpoint(path, params, state, seeds)
@@ -250,6 +307,23 @@ class TestCheckpoint:
         self.rewrite(path, lambda arrays: arrays.update({key: arrays[key].astype(np.float32)}))
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: {key} has dtype float32, not float64")):
+            net.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("input_offset", [5.0], "input_offset must be a float64 vector of shape (2,), "
+                                "got float64 of shape (1,)"),
+        ("input_scale", [[2.0]], "input_scale must be a float64 vector of shape (2,), "
+                                 "got float64 of shape (1, 1)"),
+        ("input_scale", np.ones(2, dtype=np.float32), "input_scale must be a float64 vector"),
+        ("input_scale", [1.0, 0.0], "input_scale must be finite and strictly positive"),
+        ("input_scale", [1.0, -2.0], "input_scale must be finite and strictly positive"),
+        ("input_scale", [1.0, np.inf], "input_scale must be finite and strictly positive"),
+        ("input_offset", [np.nan, 0.0], "input_offset must be finite"),
+    ])
+    def test_bad_input_standardisation_names_the_file(self, tmp_path, key, value, message):
+        _, path = self.saved(tmp_path)  # (2, 3, 2): a 2-vector offset and scale
+        self.rewrite(path, lambda arrays: arrays.update({key: np.asarray(value)}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             net.load_checkpoint(path)
 
     @pytest.mark.parametrize("key", ["flat", "adam_m", "adam_v"])

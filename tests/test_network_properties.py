@@ -2,9 +2,10 @@
 kept here as the oracle, the pooled evaluation forward against
 :func:`forward`, the flat gradient of :func:`backward` against a per-layer
 backward kept here as the oracle, and the flat-vector Adam update: several
-steps against a per-layer Adam kept here as the oracle, the layer named by
-a non-finite gradient, exact checkpoint round-trips of the three flat
-arrays, and copies whose layers stay views of their own vector."""
+steps, in place, against a per-layer Adam kept here as the oracle, the
+layer named by a non-finite gradient, which changes nothing, exact
+checkpoint round-trips of the three flat arrays, and copies whose layers
+stay views of their own vector."""
 
 import copy
 import math
@@ -152,11 +153,14 @@ def test_flat_adam_steps_equal_per_layer_oracle(data, sizes, seed):
     biases = [b.copy() for b in params.biases]
     oracle_state = ([np.zeros_like(w) for w in weights], [np.zeros_like(w) for w in weights],
                     [np.zeros_like(b) for b in biases], [np.zeros_like(b) for b in biases], 0)
+    objects = (params.flat, *params.weights, *params.biases, state.m, state.v)
     for _ in range(data.draw(st.integers(1, 4))):
         grads = draw_grads(data, params)
-        previous, before = params, params.flat.copy()
-        params, state = net.adam_step(params, flat(*grads), state)
-        assert np.array_equal(previous.flat, before)  # new objects, inputs untouched
+        assert net.adam_step(params, flat(*grads), state) is None
+        # The same objects, updated in place: the layers stay views of flat.
+        assert all(a is b for a, b in zip(
+            (params.flat, *params.weights, *params.biases, state.m, state.v), objects))
+        assert all(np.shares_memory(a, params.flat) for a in params.weights + params.biases)
         weights, biases, oracle_state = per_layer_adam(weights, biases, grads, oracle_state)
         m_w, v_w, m_b, v_b, t = oracle_state
         assert np.array_equal(params.flat, flat(weights, biases))
@@ -179,14 +183,21 @@ def _poisoned(data, params):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), sizes=layer_sizes())
-def test_nonfinite_gradient_names_its_layer(data, sizes):
+@given(data=st.data(), sizes=layer_sizes(), steps=st.integers(0, 2))
+def test_nonfinite_gradient_names_its_layer(data, sizes, steps):
     params = net.init_network(sizes, 0)
+    state = net.init_adam(params)
+    for _ in range(steps):  # moments that a write would visibly change
+        net.adam_step(params, flat(*draw_grads(data, params)), state)
     grads, layer = _poisoned(data, params)
+    before = params.flat.copy(), state.m.copy(), state.v.copy()
     with pytest.raises(ValueError, match=f"non-finite gradient at layer {layer}$") as err:
-        net.adam_step(params, flat(*grads), net.init_adam(params))
+        net.adam_step(params, flat(*grads), state)
     assert isinstance(err.value, net.NonFiniteGradient)
     assert err.value.layer == layer
+    assert all(np.array_equal(now, was)
+               for now, was in zip((params.flat, state.m, state.v), before))
+    assert state.t == steps
 
 
 @settings(max_examples=15, deadline=None)
@@ -195,19 +206,20 @@ def test_nonfinite_gradient_in_any_layer_stops_training(data, iteration):
     cfg = TrainConfig(problem="zdt3", algorithm="gpsl-g", iterations=4, batch_size=4,
                       eval_interval=4, eval_samples=16, directions_h=4, hidden_sizes=(5, 3))
     problem = get_problem("zdt3")
-    calls = []
+    seen = []  # the parameters each batch was computed from
 
     def batch_loss(params, latents, extremes):
-        calls.append(None)
-        grad = np.zeros_like(params.flat)
-        if len(calls) == iteration + 1:  # the first call is the row-0 probe
-            grad = flat(*_poisoned(data, params)[0])
-        return 0.5, grad
+        seen.append(params.flat.copy())
+        if len(seen) == iteration + 1:  # the first call is the row-0 probe
+            return 0.5, flat(*_poisoned(data, params)[0])
+        return 0.5, flat(*draw_grads(data, params, elements=st.floats(-1.0, 1.0)))
 
     with pytest.raises(TrainingDiverged) as err:
         _train_loop(cfg, problem, pareto_front(problem, 50), batch_loss)
     assert (err.value.iteration, err.value.cause) == (iteration, "gradient")
     assert isinstance(err.value.__cause__, net.NonFiniteGradient)
+    # The model as the failing batch saw it: the rejected step wrote nothing.
+    assert np.array_equal(err.value.params.flat, seen[-1])
 
 
 @settings(max_examples=50, deadline=None)
@@ -216,7 +228,7 @@ def test_checkpoint_round_trip_is_exact(data, sizes, steps):
     params = net.init_network(sizes, 1, input_offset=0.5, input_scale=2.0)
     state = net.init_adam(params, learning_rate=5e-4, beta1=0.8)
     for _ in range(steps):
-        params, state = net.adam_step(params, flat(*draw_grads(data, params)), state)
+        net.adam_step(params, flat(*draw_grads(data, params)), state)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt.npz"
         net.save_checkpoint(path, params, state, {"train_seed": 1})

@@ -2,12 +2,14 @@
 read-only) against the package: every name it wraps must exist, or
 `benchmarks/run.py --trace 1` fails, and the problem and loss layers must
 be called once per batch, not once per sample; a GPSL batch makes one R2
-approximation and one R2 subgradient call; a run draws its evaluation
-latents once, however often it evaluates."""
+approximation and one R2 subgradient call; an iteration makes one backward
+pass and one in-place Adam step; a run draws its evaluation latents once,
+however often it evaluates."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pslearn.trainer import TrainConfig, train
@@ -57,6 +59,21 @@ def test_two_r2_calls_per_gpsl_batch(spans):
     batches = cfg.iterations + 1
     assert tracer.calls["hv.r2"] == 2 * batches
     assert tracer.counts["hv.r2.points_in"] == cfg.batch_size * batches
+
+
+def test_one_backward_and_adam_step_per_iteration(spans):
+    cfg = TrainConfig(problem="zdt3", algorithm="psl-tch", iterations=5, batch_size=8,
+                      eval_interval=5, eval_samples=32, hidden_sizes=(8,))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        result = train(cfg)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["network.backward"] == cfg.iterations + 1  # and the row-0 probe
+    assert tracer.calls["network.adam_step"] == cfg.iterations
+    # One model, updated in place: its layers are still views of its vector.
+    assert np.shares_memory(result.params.weights[0], result.params.flat)
 
 
 def _sampling_calls(spans, **overrides):
