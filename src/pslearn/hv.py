@@ -6,9 +6,9 @@ hypervolume of a set is the Lebesgue measure of the objective-space region
 dominated by the set and bounded above by a reference point ``r``.
 
 Provides non-dominated filtering, exact hypervolume (dimension sweeps for
-2-D/3-D, recursive exclusive-volume computation for higher dimensions), a
-direction-decomposed hypervolume approximation with its subgradient, and the
-log hypervolume-difference convergence metric.
+2-D/3-D; for higher dimensions, slicing along the last objective down to the
+3-D sweep), a direction-decomposed hypervolume approximation with its
+subgradient, and the log hypervolume-difference convergence metric.
 
 For three objectives the filter and the exact hypervolume run one loop, the
 staircase sweep of Beume et al. (2009): a pass in sorted order over Python
@@ -203,20 +203,15 @@ def _hv_3d(pts: np.ndarray, r: np.ndarray) -> float:
     return np.float64(volume)
 
 
-def _hv_wfg(pts: np.ndarray, r: np.ndarray) -> float:
-    # Recursive exclusive-volume computation: the volume of a set is the sum
-    # over points of (inclusive box volume minus the volume of the remaining
-    # points limited to that box).
-    total = 0.0
-    for k in range(len(pts)):
-        p = pts[k]
-        incl = float(np.prod(r - p))
-        rest = pts[k + 1 :]
-        if len(rest) > 0:
-            limited = nondominated_filter(np.maximum(rest, p))
-            incl -= _hv_wfg(limited, r)
-        total += incl
-    return total
+def _hv_slices(pts: np.ndarray, r: np.ndarray) -> float:
+    # HSO (While, Hingston, Barone & Huband 2006): each slab between distinct
+    # f_m values, the last one ending at r_m, adds its depth times the (m-1)-D
+    # volume of the rows at or below it, which skips dominated and repeated rows.
+    pts = pts[np.argsort(pts[:, -1], kind="stable")]
+    z = np.append(pts[:, -1], r[-1])
+    lower = _hv_3d if len(r) == 4 else _hv_slices
+    return float(sum((z[k + 1] - z[k]) * lower(pts[: k + 1, :-1], r[:-1])
+                     for k in np.flatnonzero(np.diff(z))))
 
 
 def exact_hv(points, ref) -> float:
@@ -226,7 +221,8 @@ def exact_hv(points, ref) -> float:
     count is logged at debug level). An empty effective set has volume 0.
 
     The algorithm follows m: a sorted sweep for m=2 and a staircase sweep
-    for m=3, both skipping dominated points, else recursive exclusive volume.
+    for m=3, both skipping dominated points; for m>=4, slices along f_m down
+    to the 3-D sweep, each slab's depth times the volume of the points below.
     """
     pts = _as_points(points)
     r = np.asarray(ref, dtype=float).reshape(-1)
@@ -244,11 +240,13 @@ def exact_hv(points, ref) -> float:
     if len(pts) == 0:
         return 0.0
     m = r.size
+    if m == 1:
+        return float(r[0] - pts.min())
     if m == 2:
         return _hv_2d(pts, r)
     if m == 3:
         return _hv_3d(pts, r)
-    return _hv_wfg(nondominated_filter(pts), r)
+    return _hv_slices(pts, r)
 
 
 def _ratio_tensor(points, ref, dirs: DirectionSet) -> np.ndarray:

@@ -74,9 +74,9 @@ class Problem:
         object.__setattr__(self, "ub", ub)
         if lb.shape != (self.d,) or ub.shape != (self.d,):
             raise ValueError(f"bounds must have shape ({self.d},)")
-        if np.any(lb >= ub):
-            bad = int(np.argmax(lb >= ub))
-            raise ValueError(f"need lb < ub elementwise; violated at index {bad}")
+        bad = np.flatnonzero(~(np.isfinite(lb) & np.isfinite(ub) & (lb < ub)))
+        if bad.size:
+            raise ValueError(f"need finite lb < ub elementwise; violated at index {bad[0]}")
         if self.m < 2:
             raise ValueError(f"need m >= 2 objectives, got {self.m}")
         if self.d < self.m:

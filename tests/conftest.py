@@ -55,6 +55,22 @@ def monte_carlo_hv(points, ref, n_samples: int, seed: int):
     return frac * box, stderr
 
 
+def _hv_wfg(pts: np.ndarray, r: np.ndarray) -> float:
+    """Exact hypervolume by recursive exclusive volume, for any m and any
+    point set strictly inside the box of r: the sum over points of their
+    inclusive box volume minus the volume of the later points limited to
+    that box."""
+    total = 0.0
+    for k in range(len(pts)):
+        p = pts[k]
+        incl = float(np.prod(r - p))
+        rest = pts[k + 1 :]
+        if len(rest) > 0:
+            incl -= _hv_wfg(brute_force_nondominated(np.maximum(rest, p)), r)
+        total += incl
+    return total
+
+
 # The 3-D staircase as a helper call per point, frozen from the package
 # before its filter and hypervolume shared one inlined loop. The inlined loop
 # must skip, keep and sum exactly as these do, down to the last bit.

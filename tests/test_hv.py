@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from pslearn.hv import (
-    _hv_wfg,
     exact_hv,
     log_hv_difference,
     nondominated_filter,
@@ -16,7 +15,12 @@ from pslearn.hv import (
 )
 from pslearn.sampling import DirectionSet, das_dennis, r2_constant
 
-from conftest import brute_force_nondominated, central_difference_gradient, monte_carlo_hv
+from conftest import (
+    _hv_wfg,
+    brute_force_nondominated,
+    central_difference_gradient,
+    monte_carlo_hv,
+)
 
 
 def diag_direction_set():

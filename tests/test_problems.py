@@ -291,3 +291,15 @@ class TestRegistry:
                 ub=np.array([1.0, 1.0]),
                 _evaluate_batch=lambda xs: xs,
             )
+
+    @pytest.mark.parametrize("lb, ub, index", [
+        ([np.nan, 0.0], [1.0, 1.0], 0),
+        ([-np.inf, 0.0], [1.0, 1.0], 0),
+        ([0.0, 0.0], [np.inf, 1.0], 0),
+        ([0.0, np.nan], [1.0, 1.0], 1),
+        ([0.0, 0.0], [1.0, np.nan], 1),
+    ])
+    def test_non_finite_bounds_rejected(self, lb, ub, index):
+        with pytest.raises(ValueError, match=f"^need finite lb < ub .* at index {index}$"):
+            Problem(id="bad", m=2, d=2, lb=np.array(lb), ub=np.array(ub),
+                    _evaluate_batch=lambda xs: xs)

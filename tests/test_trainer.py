@@ -13,7 +13,14 @@ import pytest
 import pslearn.network as net
 import pslearn.trainer as trainer
 
-from pslearn.problems import Problem, ParetoFrontData, get_problem, pareto_front, register_problem
+from pslearn.problems import (
+    Problem,
+    ParetoFrontData,
+    get_problem,
+    load_reference_front,
+    pareto_front,
+    register_problem,
+)
 from pslearn.trainer import (
     ALGORITHMS,
     MetricsLog,
@@ -270,6 +277,36 @@ class TestEvaluateModel:
         y_norm = (y - f_min) / f_range
         expected = float(np.prod(1.1 - y_norm))
         assert report.hv_learned == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("algorithm", ["gpsl-g", "psl-tch"])
+    def test_four_objectives_scored_exactly(self, algorithm, tmp_path):
+        # DTLZ2 with m = 4 and d = 7, without a Jacobian, so training takes
+        # the finite-difference path; its front is the positive unit sphere.
+        try:
+            get_problem("dtlz2_m4")
+        except ValueError:
+            def dtlz2(xs):
+                c, s = np.cos(xs[:, :3] * np.pi / 2), np.sin(xs[:, :3] * np.pi / 2)
+                f = np.column_stack([c[:, 0] * c[:, 1] * c[:, 2], c[:, 0] * c[:, 1] * s[:, 2],
+                                     c[:, 0] * s[:, 1], s[:, 0]])
+                return (1.0 + ((xs[:, 3:] - 0.5) ** 2).sum(axis=1))[:, None] * f
+
+            register_problem(Problem(id="dtlz2_m4", m=4, d=7, lb=np.zeros(7), ub=np.ones(7),
+                                     _evaluate_batch=dtlz2))
+        sphere = np.abs(np.random.default_rng(0).standard_normal((300, 4)))
+        np.savetxt(tmp_path / "front.txt", sphere / np.linalg.norm(sphere, axis=1, keepdims=True))
+        front = load_reference_front(tmp_path / "front.txt", m=4)
+        cfg = TrainConfig(problem="dtlz2_m4", algorithm=algorithm, iterations=20,
+                          eval_interval=10, eval_samples=200, seed=0)
+        result = train(cfg, front=front)
+        rows = result.metrics.records
+        cells = [[r.loss, r.hv_learned, r.hv_true, r.log_hv_difference] for r in rows]
+        assert len(rows) == 3 and np.isfinite(cells).all()
+        prob = get_problem("dtlz2_m4")
+        draw, _, _ = latent_sampler(cfg, prob)
+        report = evaluate_model(result.params, prob, draw, front,
+                                n_eval=cfg.eval_samples, seed=cfg.eval_seed)
+        assert report.log_hv_difference == rows[-1].log_hv_difference
 
     def test_front_with_other_objective_count_rejected(self):
         prob = get_problem("dtlz5")
