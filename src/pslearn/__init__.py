@@ -46,7 +46,6 @@ from .sampling import (
     sample_lhs,
 )
 from .scalarization import (
-    IdealPoint,
     cosmos,
     hv_scalarization,
     modified_tchebycheff,

@@ -92,10 +92,6 @@ def _load_front(problem_name: str, front_path: str | None):
     problem = get_problem(problem_name)
     if front_path:
         return load_reference_front(front_path, m=problem.m)
-    if not problem.has_analytic_front:
-        raise ValueError(
-            f"{problem_name} has no analytic reference front; pass --front FILE"
-        )
     return pareto_front(problem)
 
 

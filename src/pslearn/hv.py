@@ -59,7 +59,8 @@ def _as_points(points) -> np.ndarray:
 
 
 def _keep_pairwise(pts: np.ndarray) -> np.ndarray:
-    # Keep-mask of distinct rows, by the definition: O(n^2 m).
+    # Keep-mask of distinct NaN-free rows, O(n^2 m): among such rows, one
+    # that is at most another in every objective dominates it.
     n = len(pts)
     dominated = np.zeros(n, dtype=bool)
     # Chunk the pairwise comparison to bound peak memory on large inputs.
@@ -67,8 +68,9 @@ def _keep_pairwise(pts: np.ndarray) -> np.ndarray:
     for start in range(0, n, chunk):
         block = pts[start : start + chunk]  # (c, m) candidates
         le = np.all(pts[:, None, :] <= block[None, :, :], axis=2)
-        lt = np.any(pts[:, None, :] < block[None, :, :], axis=2)
-        dominated[start : start + chunk] = np.any(le & lt, axis=0)
+        cols = np.arange(len(block))
+        le[start + cols, cols] = False  # no row dominates itself
+        dominated[start : start + chunk] = np.any(le, axis=0)
     return ~dominated
 
 

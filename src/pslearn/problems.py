@@ -33,6 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .hv import nondominated_filter
+from .sampling import _check_box
 
 __all__ = [
     "Problem",
@@ -74,9 +75,7 @@ class Problem:
         object.__setattr__(self, "ub", ub)
         if lb.shape != (self.d,) or ub.shape != (self.d,):
             raise ValueError(f"bounds must have shape ({self.d},)")
-        bad = np.flatnonzero(~(np.isfinite(lb) & np.isfinite(ub) & (lb < ub)))
-        if bad.size:
-            raise ValueError(f"need finite lb < ub elementwise; violated at index {bad[0]}")
+        _check_box(lb, ub)
         if self.m < 2:
             raise ValueError(f"need m >= 2 objectives, got {self.m}")
         if self.d < self.m:
@@ -110,10 +109,6 @@ class Problem:
         if self._jacobian is None:
             return finite_difference_jacobian(self, xs)
         return self._jacobian(self._checked_batch(np.asarray(xs, dtype=float)))
-
-    @property
-    def has_analytic_front(self) -> bool:
-        return self._front is not None
 
 
 @dataclass(frozen=True)
@@ -494,15 +489,15 @@ register_problem(
 def pareto_front(problem: Problem | str, n: int = 1000) -> ParetoFrontData:
     """Analytic reference front of a built-in problem, ~n points.
 
-    Problems without a closed-form front (the engineering designs) need a
-    reference-front file loaded with :func:`load_reference_front` instead.
+    Problems without a closed-form front (the engineering designs, registered
+    problems) raise ``ValueError``: load a file with :func:`load_reference_front`.
     """
     if isinstance(problem, str):
         problem = get_problem(problem)
     if problem._front is None:
         raise ValueError(
-            f"{problem.id!r} has no analytic front; load a reference-front "
-            "file with load_reference_front()"
+            f"{problem.id} has no analytic reference front; pass --front FILE, "
+            "or load one with load_reference_front()"
         )
     return ParetoFrontData(points=problem._front(n), source="analytic")
 

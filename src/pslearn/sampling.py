@@ -65,6 +65,14 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _check_box(lb: np.ndarray, ub: np.ndarray) -> None:
+    # The one check of a box [lb, ub]: finite bounds with lb < ub at every
+    # index; NaN fails every comparison, so it is caught here too.
+    bad = np.flatnonzero(~(np.isfinite(lb) & np.isfinite(ub) & (lb < ub)))
+    if bad.size:
+        raise ValueError(f"need finite lb < ub elementwise; violated at index {bad[0]}")
+
+
 def sample_gaussian(k: int, center, n: int, seed) -> np.ndarray:
     """Draw ``n`` points from an isotropic unit-variance Gaussian at ``center``."""
     if n < 1 or k < 1:
@@ -84,11 +92,9 @@ def sample_lhs(k: int, lb, ub, n: int, seed) -> np.ndarray:
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    lb = np.broadcast_to(np.asarray(lb, dtype=float), (k,)).copy()
-    ub = np.broadcast_to(np.asarray(ub, dtype=float), (k,)).copy()
-    if np.any(lb >= ub):
-        bad = int(np.argmax(lb >= ub))
-        raise ValueError(f"need lb < ub elementwise; violated at index {bad}")
+    lb = np.broadcast_to(np.asarray(lb, dtype=float), (k,))
+    ub = np.broadcast_to(np.asarray(ub, dtype=float), (k,))
+    _check_box(lb, ub)
     rng = _rng(seed)
     samples = np.empty((n, k), dtype=float)
     for j in range(k):

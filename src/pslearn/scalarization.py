@@ -11,12 +11,9 @@ lowest index so the subgradients are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "IdealPoint",
     "weighted_sum",
     "tchebycheff",
     "modified_tchebycheff",
@@ -26,17 +23,6 @@ __all__ = [
 
 # Preference components below this are clamped before division.
 PREFERENCE_CLAMP = 1e-6
-
-
-@dataclass
-class IdealPoint:
-    """Ideal point ``z`` of the Tchebycheff-style losses, the componentwise
-    minimum of the objectives, and the small positive shift ``epsilon``
-    subtracted from it.
-    """
-
-    z: np.ndarray
-    epsilon: float = 0.1
 
 
 def _check_dims(f: np.ndarray, p: np.ndarray) -> None:
@@ -67,21 +53,23 @@ def weighted_sum(f, p):
     return _dot(p, f), p.copy()
 
 
-def tchebycheff(f, p, ideal: IdealPoint):
-    """g = max_i p_i (f_i - (z_i - eps)); subgradient p_i* at the argmax."""
+def tchebycheff(f, p, epsilon: float):
+    """g = max_i p_i (f_i + eps), f measured from the ideal point (the origin
+    after the trainer's min-max normalization); subgradient p_i* at the argmax."""
     f = np.asarray(f, dtype=float)
     p = np.asarray(p, dtype=float)
     _check_dims(f, p)
-    terms = p * (f - (ideal.z - ideal.epsilon))
+    terms = p * (f + epsilon)
     return _pick(terms, np.argmax(terms, axis=-1), p)
 
 
-def modified_tchebycheff(f, p, ideal: IdealPoint):
-    """g = max_i (f_i - (z_i - eps)) / p_i; subgradient 1/p_i* at the argmax."""
+def modified_tchebycheff(f, p, epsilon: float):
+    """g = max_i (f_i + eps) / p_i, f measured from the ideal point;
+    subgradient 1/p_i* at the argmax."""
     f = np.asarray(f, dtype=float)
     p = np.maximum(np.asarray(p, dtype=float), PREFERENCE_CLAMP)
     _check_dims(f, p)
-    terms = (f - (ideal.z - ideal.epsilon)) / p
+    terms = (f + epsilon) / p
     return _pick(terms, np.argmax(terms, axis=-1), 1.0 / p)
 
 

@@ -46,7 +46,6 @@ from .sampling import (
 )
 from .scalarization import (
     PREFERENCE_CLAMP,
-    IdealPoint,
     cosmos,
     hv_scalarization,
     modified_tchebycheff,
@@ -290,49 +289,44 @@ def _batch_mean(values: np.ndarray) -> float:
     return float(0.0 + np.cumsum(values / len(values))[-1])
 
 
-def _psl_hv(y, prefs, ideal, config):
-    # Projected distance along the unit direction of the clamped preference,
-    # maximized, so its negative is the loss.
-    lam = np.maximum(prefs, PREFERENCE_CLAMP)
-    # The stacked matmul rounds like np.linalg.norm of each row.
-    lam = lam / np.sqrt(np.matmul(lam[:, None, :], lam[:, :, None]))[:, 0]
-    s, grad = hv_scalarization(y, lam, np.full(y.shape[1], config.ref_offset))
-    return -s, -grad
-
-
-# Per-sample preference losses on a normalized batch, keyed by algorithm:
-# (y, prefs, ideal, config) -> (values (n,), gradients (n, m)). The entries
-# look the scalarizations up by name at call time, so a wrapper installed
-# on this module (as the benchmark's per-layer tracer does) sees each call.
-_PREFERENCE_LOSSES = {
-    "psl-ls": lambda y, prefs, ideal, config: weighted_sum(y, prefs),
-    "psl-tch": lambda y, prefs, ideal, config: tchebycheff(y, prefs, ideal),
-    "psl-mtch": lambda y, prefs, ideal, config: modified_tchebycheff(y, prefs, ideal),
-    "cosmos": lambda y, prefs, ideal, config: cosmos(y, prefs, config.cosmos_gamma),
-    "psl-hv": _psl_hv,
-}
-
-
 def _algorithm_loss(config: TrainConfig, problem: Problem):
     """The loss of ``config.algorithm`` on a normalized batch.
 
     Returns ``loss(y, latents) -> (loss, dL/dy)``. GPSL scores the batch by
     its negated hypervolume approximation; the preference algorithms take
     the mean of their scalarization, with the latents as preferences. The
-    Tchebycheff losses shift from the running ideal point, the componentwise
-    minimum of every objective seen so far; that is the extremes' ``low``,
-    so in normalized space the ideal point is the origin.
+    Tchebycheff losses measure from the running ideal point, the extremes'
+    ``low``, which the normalization puts at the origin.
     """
+    r = np.full(problem.m, config.ref_offset)
     if config.algorithm in GPSL_ALGORITHMS:
         dirs = das_dennis(problem.m, config.directions_h or default_divisions(problem.m))
-        r = np.full(problem.m, config.ref_offset)
         return lambda y, latents: (-r2_hv_approx(y, r, dirs) / len(y),
                                    -r2_hv_subgradient(y, r, dirs) / len(y))
-    preference = _PREFERENCE_LOSSES[config.algorithm]
-    ideal = IdealPoint(z=np.zeros(problem.m), epsilon=config.tch_epsilon)
+    eps, gamma = config.tch_epsilon, config.cosmos_gamma
+
+    def psl_hv(y, prefs):
+        # Projected distance along the unit direction of the clamped
+        # preference, maximized, so its negative is the loss.
+        lam = np.maximum(prefs, PREFERENCE_CLAMP)
+        # The stacked matmul rounds like np.linalg.norm of each row.
+        lam = lam / np.sqrt(np.matmul(lam[:, None, :], lam[:, :, None]))[:, 0]
+        s, grad = hv_scalarization(y, lam, r)
+        return -s, -grad
+
+    # (y, prefs) -> (values (n,), gradients (n, m)). Each closure looks its
+    # scalarization up by name at call time, so a wrapper installed on this
+    # module (as the benchmark's per-layer tracer does) sees each call.
+    preference = {
+        "psl-ls": lambda y, prefs: weighted_sum(y, prefs),
+        "psl-tch": lambda y, prefs: tchebycheff(y, prefs, eps),
+        "psl-mtch": lambda y, prefs: modified_tchebycheff(y, prefs, eps),
+        "cosmos": lambda y, prefs: cosmos(y, prefs, gamma),
+        "psl-hv": psl_hv,
+    }[config.algorithm]
 
     def loss(y, prefs):
-        values, grads = preference(y, prefs, ideal, config)
+        values, grads = preference(y, prefs)
         return _batch_mean(values), grads / len(values)
 
     return loss

@@ -28,6 +28,20 @@ def brute_force_nondominated(points: np.ndarray) -> np.ndarray:
     return pts[keep]
 
 
+def keep_pairwise_reference(pts: np.ndarray) -> np.ndarray:
+    """Keep-mask of distinct rows by the two-tensor definition: row j is
+    dropped when some row is at most it everywhere and below it somewhere."""
+    n = len(pts)
+    dominated = np.zeros(n, dtype=bool)
+    chunk = max(1, min(n, 2_000_000 // max(n, 1)))
+    for start in range(0, n, chunk):
+        block = pts[start : start + chunk]
+        le = np.all(pts[:, None, :] <= block[None, :, :], axis=2)
+        lt = np.any(pts[:, None, :] < block[None, :, :], axis=2)
+        dominated[start : start + chunk] = np.any(le & lt, axis=0)
+    return ~dominated
+
+
 def monte_carlo_hv(points, ref, n_samples: int, seed: int):
     """Dominated-volume estimate and its standard error.
 

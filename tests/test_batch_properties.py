@@ -1,6 +1,7 @@
 """Property tests of the batch-native loss layer: each batched scalarization
-against its own one-row calls, and the evaluation's front normalizer against
-the inline min-max arithmetic it replaced."""
+against its own one-row calls, the Tchebycheff losses against the
+ideal-point formula they replaced, and the evaluation's front normalizer
+against the inline min-max arithmetic it replaced."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from pslearn.hv import exact_hv
 from pslearn.problems import ParetoFrontData
 from pslearn.scalarization import (
-    IdealPoint,
+    PREFERENCE_CLAMP,
     cosmos,
     hv_scalarization,
     modified_tchebycheff,
@@ -36,11 +37,11 @@ def _batches(elements):
 
 
 def _scalarizations(z, eps, gamma, ref):
-    ideal = IdealPoint(z=z, epsilon=eps)
+    # The Tchebycheff losses measure f from the ideal point z.
     return {
         "weighted_sum": lambda f, p: weighted_sum(f, p),
-        "tchebycheff": lambda f, p: tchebycheff(f, p, ideal),
-        "modified_tchebycheff": lambda f, p: modified_tchebycheff(f, p, ideal),
+        "tchebycheff": lambda f, p: tchebycheff(f - z, p, eps),
+        "modified_tchebycheff": lambda f, p: modified_tchebycheff(f - z, p, eps),
         "cosmos": lambda f, p: cosmos(f, p, gamma),
         "hv_scalarization": lambda f, p: hv_scalarization(f, p, ref),
     }
@@ -61,6 +62,34 @@ def test_batched_scalarizations_equal_their_row_calls(data):
         for i in range(n):
             for got, want in zip(batched, fn(f[i], p[i])):
                 assert np.array_equal(got[i], want, equal_nan=True), (name, i)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_tchebycheff_equals_ideal_point_formula(data):
+    # The losses once took an ideal point z, always the origin in training,
+    # and measured from z - eps. They now add eps: the same bits, except
+    # that at eps = 0 an objective of -0.0 gives a +0.0 term where the old
+    # formula gave -0.0 (the trainer's batch mean, summed from 0.0, cannot
+    # tell the two apart).
+    f = data.draw(_batches(_OBJ))
+    n, m = f.shape
+    p = data.draw(arrays(float, (n, m), elements=_PREF))
+    eps = data.draw(st.one_of(st.sampled_from([0.0, 0.1]), st.floats(0.0, 10.0)))
+    clamped = np.maximum(p, PREFERENCE_CLAMP)
+    for fi, pi, ci in ((f, p, clamped), (f[0], p[0], clamped[0])):  # batch, one vector
+        for fn, terms, slope in (
+            (tchebycheff, pi * (fi - (np.zeros(m) - eps)), pi),
+            (modified_tchebycheff, (fi - (np.zeros(m) - eps)) / ci, 1.0 / ci),
+        ):
+            value, grad = fn(fi, pi, eps)
+            i_star = np.argmax(terms, axis=-1)[..., None]
+            want = np.take_along_axis(terms, i_star, axis=-1)[..., 0]
+            if eps == 0.0:
+                value, want = value + 0.0, want + 0.0  # -0.0 + 0.0 is +0.0
+            assert value.tobytes() == want.tobytes(), fn.__name__
+            want_grad = np.where(np.arange(m) == i_star, slope, 0.0)
+            assert grad.tobytes() == want_grad.tobytes(), fn.__name__
 
 
 @settings(max_examples=300, deadline=None)

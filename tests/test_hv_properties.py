@@ -1,5 +1,6 @@
 """Property tests of the sorted non-dominated filter against the pairwise
-definition check and the brute-force oracle, of the exact hypervolume sweeps
+definition check and the brute-force oracle, of the one-comparison pairwise
+mask against the two-tensor definition, of the exact hypervolume sweeps
 against the filter-first path they replaced, of the slicing for m = 4 and 5
 against the recursive exclusive-volume oracle, of the 3-D staircase loop
 against its frozen per-point-helper version, and of the objective-major
@@ -33,12 +34,13 @@ from conftest import (
     brute_force_nondominated,
     exact_hv_3d_reference,
     keep_3d_reference,
+    keep_pairwise_reference,
 )
 
 
 def dense_filter(points):
     """The O(n^2 m) pairwise filter, the order-exact reference for any m."""
-    return _filter_rows(np.asarray(points, dtype=float), _keep_pairwise)
+    return _filter_rows(np.asarray(points, dtype=float), keep_pairwise_reference)
 
 
 # Small integers force duplicate rows and ties in single coordinates; the
@@ -79,6 +81,32 @@ def test_nan_and_inf_rows(filt):
     np.testing.assert_array_equal(out, [[np.nan, 0], [1, 1]])
     out = filt([[1, np.inf], [0, np.nan]])
     np.testing.assert_array_equal(out, [[1, np.inf], [0, np.nan]])
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@settings(max_examples=75, deadline=None)
+@given(data=st.data())
+def test_one_comparison_pairwise_mask_equals_definition(m, data):
+    # _filter_rows hands the mask distinct NaN-free rows, among which a row
+    # at most another everywhere dominates it.
+    pts = data.draw(_point_sets(m))
+    if data.draw(st.booleans()):
+        pts = np.concatenate([pts, pts[: len(pts) // 2 + 1]])  # duplicate rows
+    np.testing.assert_array_equal(_filter_rows(pts, _keep_pairwise), dense_filter(pts))
+
+
+def test_one_comparison_pairwise_mask_across_chunks():
+    # 2,200 rows split the comparison into chunks, so the diagonal is masked
+    # at an offset: points of the 4-D positive unit sphere, dominated copies
+    # and duplicates.
+    rng = np.random.default_rng(5)
+    sphere = np.abs(rng.standard_normal((2000, 4)))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    pts = np.concatenate([sphere, sphere[:100] + 0.25, sphere[100:200]])
+    pts = pts[rng.permutation(len(pts))]
+    got = _filter_rows(pts, _keep_pairwise)
+    np.testing.assert_array_equal(got, dense_filter(pts))
+    assert len(got) == 2000
 
 
 def filter_first_hv(pts, r):

@@ -85,6 +85,16 @@ class TestLhs:
         with pytest.raises(ValueError):
             sample_lhs(2, (0.0, 1.0), (1.0, 1.0), 4, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+    @pytest.mark.parametrize("side, index", [("lb", 0), ("lb", 1), ("ub", 0), ("ub", 1)])
+    def test_rejects_non_finite_bounds(self, bad, side, index):
+        # Problem's box check, naming the index; a NaN or infinite bound
+        # would otherwise give a NaN or infinite column.
+        bounds = {"lb": [0.0, 0.0], "ub": [1.0, 1.0]}
+        bounds[side][index] = bad
+        with pytest.raises(ValueError, match=f"^need finite lb < ub .* at index {index}$"):
+            sample_lhs(2, bounds["lb"], bounds["ub"], 3, seed=0)
+
 
 class TestDirichlet:
     def test_simplex_membership(self):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pslearn.scalarization import (
-    IdealPoint,
     cosmos,
     hv_scalarization,
     modified_tchebycheff,
@@ -14,8 +13,6 @@ from pslearn.scalarization import (
 )
 
 from conftest import central_difference_gradient
-
-ZERO_IDEAL = IdealPoint(z=np.zeros(2), epsilon=0.0)
 
 
 class TestWeightedSum:
@@ -35,18 +32,19 @@ class TestWeightedSum:
 
 class TestTchebycheff:
     def test_arithmetic(self):
-        value, grad = tchebycheff([2.0, 4.0], [0.5, 0.5], ZERO_IDEAL)
+        value, grad = tchebycheff([2.0, 4.0], [0.5, 0.5], 0.0)
         assert value == pytest.approx(2.0)
         np.testing.assert_allclose(grad, [0.0, 0.5])
 
     def test_zero_at_shifted_ideal(self):
-        ideal = IdealPoint(z=np.array([1.0, 2.0]), epsilon=0.25)
-        f = ideal.z - ideal.epsilon
-        value, _ = tchebycheff(f, [0.4, 0.6], ideal)
+        # f is measured from the ideal point z, so f - z goes in.
+        z = np.array([1.0, 2.0])
+        f = z - 0.25
+        value, _ = tchebycheff(f - z, [0.4, 0.6], 0.25)
         assert value == pytest.approx(0.0)
 
     def test_tie_broken_to_lowest_index(self):
-        value, grad = tchebycheff([1.0, 1.0], [0.5, 0.5], ZERO_IDEAL)
+        value, grad = tchebycheff([1.0, 1.0], [0.5, 0.5], 0.0)
         assert value == pytest.approx(0.5)
         np.testing.assert_allclose(grad, [0.5, 0.0])
 
@@ -54,47 +52,44 @@ class TestTchebycheff:
         for _ in range(10):
             f = rng.random(3) + 0.1
             p = rng.random(3) + 0.1
-            ideal = IdealPoint(z=np.zeros(3), epsilon=0.0)
             c = float(rng.random() * 5 + 0.1)
-            v1, _ = tchebycheff(f, p, ideal)
-            v2, _ = tchebycheff(c * f, p, ideal)
+            v1, _ = tchebycheff(f, p, 0.0)
+            v2, _ = tchebycheff(c * f, p, 0.0)
             assert v2 == pytest.approx(c * v1, rel=1e-12)
 
     def test_subgradient_matches_fd_away_from_ties(self, rng):
-        ideal = IdealPoint(z=np.zeros(3), epsilon=0.1)
         checked = 0
         while checked < 20:
             f = rng.random(3)
             p = rng.random(3) + 0.05
-            terms = np.sort(p * (f - (ideal.z - ideal.epsilon)))
+            terms = np.sort(p * (f + 0.1))
             if terms[-1] - terms[-2] < 1e-3:
                 continue
-            _, grad = tchebycheff(f, p, ideal)
-            fd = central_difference_gradient(lambda x: tchebycheff(x, p, ideal)[0], f)
+            _, grad = tchebycheff(f, p, 0.1)
+            fd = central_difference_gradient(lambda x: tchebycheff(x, p, 0.1)[0], f)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-9)
             checked += 1
 
 
 class TestModifiedTchebycheff:
     def test_arithmetic(self):
-        value, grad = modified_tchebycheff([2.0, 4.0], [0.5, 0.5], ZERO_IDEAL)
+        value, grad = modified_tchebycheff([2.0, 4.0], [0.5, 0.5], 0.0)
         assert value == pytest.approx(8.0)
         np.testing.assert_allclose(grad, [0.0, 2.0])
 
     def test_uniform_preference_identity(self, rng):
         m = 4
-        ideal = IdealPoint(z=np.zeros(m), epsilon=0.0)
         f = rng.random(m)
-        value, _ = modified_tchebycheff(f, np.full(m, 1.0 / m), ideal)
+        value, _ = modified_tchebycheff(f, np.full(m, 1.0 / m), 0.0)
         assert value == pytest.approx(m * f.max(), rel=1e-12)
 
     def test_zero_at_shifted_ideal(self):
-        ideal = IdealPoint(z=np.array([0.5, -1.0]), epsilon=0.2)
-        value, _ = modified_tchebycheff(ideal.z - ideal.epsilon, [0.3, 0.7], ideal)
+        z = np.array([0.5, -1.0])
+        value, _ = modified_tchebycheff((z - 0.2) - z, [0.3, 0.7], 0.2)
         assert value == pytest.approx(0.0)
 
     def test_tiny_preference_clamped(self):
-        value, grad = modified_tchebycheff([1.0, 0.0], [0.0, 1.0], ZERO_IDEAL)
+        value, grad = modified_tchebycheff([1.0, 0.0], [0.0, 1.0], 0.0)
         assert value == pytest.approx(1e6)
         np.testing.assert_allclose(grad, [1e6, 0.0])
 

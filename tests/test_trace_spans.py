@@ -30,7 +30,9 @@ def test_every_target_resolves(spans):
         assert attr in owner.__dict__, f"{owner.__name__}.{attr} (span {name})"
 
 
-@pytest.mark.parametrize("algorithm, loss_calls_per_batch", [("gpsl-g", 0), ("psl-tch", 1)])
+@pytest.mark.parametrize("algorithm, loss_calls_per_batch", [
+    ("gpsl-g", 0), ("psl-ls", 1), ("psl-tch", 1), ("psl-mtch", 1), ("cosmos", 1), ("psl-hv", 1),
+])
 def test_one_jacobian_and_scalarization_call_per_batch(spans, algorithm, loss_calls_per_batch):
     cfg = TrainConfig(problem="zdt3", algorithm=algorithm, iterations=5, batch_size=8,
                       eval_interval=5, eval_samples=32, directions_h=5, hidden_sizes=(8,))
