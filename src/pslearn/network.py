@@ -13,7 +13,9 @@ so the per-layer views stay valid across steps, and a gradient it rejects
 leaves all of them untouched.
 
 The output layer applies ``x = lb + sigmoid(z) * (ub - lb)``, so every output
-lies strictly inside the bounds and no downstream clipping is ever needed.
+lies inside [lb, ub] and no downstream clipping is ever needed. A saturated
+sigmoid reaches the bounds themselves: ``sigmoid(40.0) == 1.0``, and below
+about -745 it is 0.0.
 Latent inputs are standardised by a fixed affine transform stored with the
 parameters; this keeps the first layer well-scaled even when the latent
 distribution is centred far from the origin (e.g. box midpoints of problems
@@ -61,6 +63,13 @@ def _layer_offsets(layer_sizes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(accumulate(blocks, initial=0))
 
 
+def _check_vector(name: str, array: np.ndarray, size: int) -> None:
+    """The one check that ``array`` is a float64 vector of ``size`` entries."""
+    if array.dtype != np.float64 or array.shape != (size,):
+        raise ValueError(f"{name} must be a float64 vector of shape ({size},), "
+                         f"got {array.dtype} of shape {array.shape}")
+
+
 def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer weight and bias views of a vector laid out as w0, b0, w1, b1, ..."""
     weights, biases = [], []
@@ -94,18 +103,10 @@ class NetworkParams:
 
     def __post_init__(self):
         sizes = self.layer_sizes
-        size = _layer_offsets(sizes)[-1]
-        if self.flat.dtype != np.float64 or self.flat.shape != (size,):
-            raise ValueError(
-                f"layer sizes {sizes} need a float64 vector of {size} parameters, "
-                f"got {self.flat.dtype} of shape {self.flat.shape}"
-            )
-        k = sizes[0]
+        _check_vector("flat", self.flat, _layer_offsets(sizes)[-1])
         for name, array, positive in (("input_offset", self.input_offset, False),
                                       ("input_scale", self.input_scale, True)):
-            if array.dtype != np.float64 or array.shape != (k,):
-                raise ValueError(f"{name} must be a float64 vector of shape ({k},), "
-                                 f"got {array.dtype} of shape {array.shape}")
+            _check_vector(name, array, sizes[0])
             if not np.all(np.isfinite(array)) or (positive and not np.all(array > 0.0)):
                 need = "finite and strictly positive" if positive else "finite"
                 raise ValueError(f"{name} must be {need}, got {array}")
@@ -235,7 +236,7 @@ def _layers(params: NetworkParams, v: np.ndarray, out) -> None:
 
 def forward(params: NetworkParams, v, lb, ub):
     """Map a batch of latent vectors, shape (n, k), to decision vectors
-    strictly inside (lb, ub), shape (n, d).
+    inside [lb, ub], shape (n, d).
 
     Each output row depends only on its own input row. Returns
     ``(x, cache)`` where the cache holds everything :func:`backward` needs.
@@ -335,17 +336,13 @@ def adam_step(params: NetworkParams, grad, state: AdamState) -> None:
     ``state.t``. Its arithmetic is elementwise, so every parameter gets the
     bits a per-layer update gives. Every check runs before the first write,
     so a rejected gradient leaves the parameters and the state untouched:
-    a gradient or moments of another shape or dtype raise ``ValueError``,
-    and a gradient holding a NaN or an infinity raises
-    :class:`NonFiniteGradient`, naming the first offending layer.
+    a gradient or moment that is not a float64 vector of the parameters'
+    size raises ``ValueError``, and a gradient holding a NaN or an infinity
+    raises :class:`NonFiniteGradient`, naming the first offending layer.
     """
     flat, m, v = params.flat, state.m, state.v
-    if grad.dtype != np.float64 or grad.shape != flat.shape:
-        raise ValueError(f"gradient has shape {grad.shape} and dtype {grad.dtype}, "
-                         f"parameters float64 of shape {flat.shape}")
-    if not all(moment.dtype == np.float64 and moment.shape == flat.shape for moment in (m, v)):
-        raise ValueError(f"Adam moments must be float64 of shape {flat.shape}, got m "
-                         f"{m.dtype} of shape {m.shape} and v {v.dtype} of shape {v.shape}")
+    for name, array in (("grad", grad), ("state.m", m), ("state.v", v)):
+        _check_vector(name, array, flat.size)
     finite = np.isfinite(grad)
     if not finite.all():
         first = int(np.argmin(finite))
@@ -405,9 +402,9 @@ def load_checkpoint(path):
 
     A file that :func:`save_checkpoint` did not write raises ``ValueError``
     naming the path and, for a readable ``.npz`` archive, the entry or
-    ``meta`` key it lacks (``flat``, for a per-layer file), a wrong size or
-    a parameter or moment array that is not float64, or an input
-    standardisation that :class:`NetworkParams` rejects.
+    ``meta`` key it lacks (``flat``, for a per-layer file), a parameter or
+    moment array that is not a float64 vector of the model's size, or an
+    input standardisation that :class:`NetworkParams` rejects.
     """
     try:
         archive = np.load(path)
@@ -437,16 +434,12 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: activation {activation!r} is not supported; "
                          "the model is a ReLU network")
     flat, m, v = entry("flat"), entry("adam_m"), entry("adam_v")
-    for name, array in (("flat", flat), ("adam_m", m), ("adam_v", v)):
-        if array.dtype != np.float64:
-            raise ValueError(f"{path}: {name} has dtype {array.dtype}, not float64")
-    size = _layer_offsets(sizes)[-1]
-    if not flat.shape == m.shape == v.shape == (size,):
-        raise ValueError(f"{path}: layer sizes {sizes} need {size} parameters and moments, "
-                         f"got shapes {flat.shape}, {m.shape} and {v.shape}")
+    offset, scale = entry("input_offset"), entry("input_scale")
     try:
-        params = NetworkParams(layer_sizes=sizes, flat=flat, input_offset=entry("input_offset"),
-                               input_scale=entry("input_scale"))
+        params = NetworkParams(layer_sizes=sizes, flat=flat, input_offset=offset,
+                               input_scale=scale)
+        for name, moment in (("adam_m", m), ("adam_v", v)):
+            _check_vector(name, moment, params.flat.size)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return params, AdamState(m=m, v=v, **adam), seeds

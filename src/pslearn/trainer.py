@@ -118,6 +118,9 @@ class TrainConfig:
             (("learning_rate", "eps_adam", "dirichlet_alpha", "ref_offset"),
              lambda x: x > 0, "> 0"),
             (("beta1", "beta2"), lambda x: 0 <= x < 1, "in [0, 1)"),
+            (("hidden_sizes",), lambda sizes: all(
+                isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in sizes),
+             "of ints >= 1"),
         ):
             for key in keys:
                 if not valid(getattr(self, key)):
@@ -253,19 +256,18 @@ def latent_sampler(config: TrainConfig, problem: Problem):
 
 class _RunningExtremes:
     """Componentwise running min/max of raw objective vectors, and the
-    min-max normalization they define."""
+    min-max normalization they define: ``range`` is ``high - low``, at
+    least ``MIN_RANGE``."""
 
     def __init__(self, m: int):
         self.low = np.full(m, np.inf)
         self.high = np.full(m, -np.inf)
+        self.range = np.full(m, MIN_RANGE)
 
     def update(self, objectives: np.ndarray) -> None:
         self.low = np.minimum(self.low, objectives.min(axis=0))
         self.high = np.maximum(self.high, objectives.max(axis=0))
-
-    @property
-    def range(self) -> np.ndarray:
-        return np.maximum(self.high - self.low, MIN_RANGE)
+        self.range = np.maximum(self.high - self.low, MIN_RANGE)
 
     def normalize(self, objectives: np.ndarray) -> np.ndarray:
         return (objectives - self.low) / self.range
@@ -273,14 +275,6 @@ class _RunningExtremes:
 
 # ---------------------------------------------------------------------------
 # Per-batch loss + gradient (shared by training and gradient tests)
-
-
-def _chain_to_params(params, cache, problem, xs, d_loss_d_raw):
-    """dL/d(theta) from per-sample dL/df via problem Jacobians and backprop,
-    as one vector laid out like ``params.flat``."""
-    # A stacked matmul rounds like the per-row `J.T @ g`; einsum does not.
-    d_loss_d_x = np.matmul(d_loss_d_raw[:, None, :], problem.jacobian(xs))[:, 0, :]
-    return net.backward(params, cache, d_loss_d_x)
 
 
 def _batch_mean(values: np.ndarray) -> float:
@@ -343,7 +337,10 @@ def _batch_loss(params, latents, problem: Problem, extremes, loss):
     raw = problem.evaluate_batch(xs)
     extremes.update(raw)
     value, d_loss_d_y = loss(extremes.normalize(raw), latents)
-    return value, _chain_to_params(params, cache, problem, xs, d_loss_d_y / extremes.range)
+    d_loss_d_raw = d_loss_d_y / extremes.range
+    # A stacked matmul rounds like the per-row `J.T @ g`; einsum does not.
+    d_loss_d_x = np.matmul(d_loss_d_raw[:, None, :], problem.jacobian(xs))[:, 0, :]
+    return value, net.backward(params, cache, d_loss_d_x)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ import bisect
 import numpy as np
 import pytest
 
+from pslearn import problems
+
 
 def brute_force_nondominated(points: np.ndarray) -> np.ndarray:
     """O(n^2) definition-based non-dominated filter (duplicates collapsed)."""
@@ -175,6 +177,15 @@ def assert_close(actual, expected, rtol: float, atol: float = 1e-10, msg: str = 
     actual = np.asarray(actual, dtype=float)
     expected = np.asarray(expected, dtype=float)
     np.testing.assert_allclose(actual, expected, rtol=rtol, atol=atol, err_msg=msg)
+
+
+@pytest.fixture(autouse=True)
+def _restore_problem_registry():
+    # A problem a test registers leaves with it, so no later test lists it.
+    saved = dict(problems._REGISTRY)
+    yield
+    problems._REGISTRY.clear()
+    problems._REGISTRY.update(saved)
 
 
 @pytest.fixture

@@ -1,7 +1,8 @@
 """Property tests of the batch-native loss layer: each batched scalarization
 against its own one-row calls, the Tchebycheff losses against the
-ideal-point formula they replaced, and the evaluation's front normalizer
-against the inline min-max arithmetic it replaced."""
+ideal-point formula they replaced, the evaluation's front normalizer
+against the inline min-max arithmetic it replaced, and the running range
+against its formula."""
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from pslearn.scalarization import (
     tchebycheff,
     weighted_sum,
 )
-from pslearn.trainer import MIN_RANGE, _normalized_front
+from pslearn.trainer import MIN_RANGE, _normalized_front, _RunningExtremes
 
 # Quarter steps force ties at the max/min operators and zero rows; the
 # floats cover the general case.
@@ -111,3 +112,23 @@ def test_front_normalizer_equals_inline_min_max(data):
     for y in (pts, outputs):
         assert np.array_equal(extremes.normalize(y), (y - f_min) / f_range)
     assert repr(hv_true) == repr(exact_hv((pts - f_min) / f_range, r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_running_range_equals_its_formula(data):
+    # Non-finite rows included: the stored range must stay the formula's bits.
+    m = data.draw(st.integers(1, 4))
+    rows = st.one_of(_OBJ, st.sampled_from([np.nan, np.inf, -np.inf]))
+    batches = data.draw(st.lists(arrays(float, st.tuples(st.integers(1, 6), st.just(m)),
+                                        elements=rows), max_size=5))
+    extremes = _RunningExtremes(m)
+
+    def formula_bits():
+        return np.maximum(extremes.high - extremes.low, MIN_RANGE).tobytes()
+
+    with np.errstate(invalid="ignore"):
+        assert extremes.range.tobytes() == formula_bits()
+        for batch in batches:
+            extremes.update(batch)
+            assert extremes.range.tobytes() == formula_bits()

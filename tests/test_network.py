@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pslearn import network as net
+from pslearn.problems import get_problem
 
 from conftest import central_difference_gradient
 
@@ -47,11 +48,20 @@ class TestInit:
         (np.zeros(3), np.array([1.0, 0.0, 1.0]), "input_scale must be finite and strictly"),
         (np.zeros(3), np.array([1.0, np.nan, 1.0]), "input_scale must be finite and strictly"),
         (np.array([0.0, -np.inf, 0.0]), np.ones(3), "input_offset must be finite"),
+        (np.zeros(3), np.ones(3, dtype=np.float32), "input_scale must be a float64 vector"),
     ])
     def test_params_reject_a_bad_input_standardisation(self, offset, scale, message):
         # (3, 4, 2): 26 parameters; the standardisation acts on 3 inputs.
         with pytest.raises(ValueError, match=message):
             net.NetworkParams((3, 4, 2), np.zeros(26), offset, scale)
+
+    @pytest.mark.parametrize("flat", [np.zeros(26, dtype=np.float32), np.zeros(25)],
+                             ids=["float32", "short"])
+    def test_params_reject_a_flat_vector_unlike_the_layer_sizes(self, flat):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"flat must be a float64 vector of shape (26,), got {flat.dtype} of shape "
+                f"{flat.shape}") + "$"):
+            net.NetworkParams((3, 4, 2), flat, np.zeros(3), np.ones(3))
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
     def test_init_rejects_a_scale_that_is_not_finite_and_positive(self, scale):
@@ -76,6 +86,19 @@ class TestForward:
         v = rng.standard_normal((200, 2)) * 5.0
         x, _ = net.forward(params, v, LB, UB)
         assert np.all(x > LB) and np.all(x < UB)
+
+    def test_saturated_outputs_land_on_the_bounds(self, rng):
+        # sigmoid(40.0) == 1.0 and sigmoid(-800.0) == 0.0, so the outputs are
+        # the bounds themselves, which the problem must still evaluate.
+        problem = get_problem("zdt3")
+        params = net.init_network((2, 8, problem.d), seed=0)
+        params.weights[-1][...] = 0.0
+        v = rng.standard_normal((5, 2))
+        for bias, bound in ((40.0, problem.ub), (-800.0, problem.lb)):
+            params.biases[-1][...] = bias
+            x, _ = net.forward(params, v, problem.lb, problem.ub)
+            np.testing.assert_array_equal(x, np.broadcast_to(bound, x.shape))
+            assert np.all(np.isfinite(problem.evaluate_batch(x)))
 
     def test_batch_equals_independent_forwards(self, rng):
         params = small_net(seed=5)
@@ -205,7 +228,8 @@ class TestAdam:
         state = net.init_adam(params)
         net.adam_step(params, np.ones(123), state)
         before = params.flat.copy(), state.m.copy(), state.v.copy()
-        with pytest.raises(ValueError, match=rf"gradient has shape \({shape[0]},"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"grad must be a float64 vector of shape (123,), got float64 of shape {shape}")):
             net.adam_step(params, np.zeros(shape), state)
         # Rejected before the first write.
         for now, was in zip((params.flat, state.m, state.v), before):
@@ -214,7 +238,8 @@ class TestAdam:
 
     def test_float32_gradient_rejected(self):
         params = small_net()
-        with pytest.raises(ValueError, match=r"shape \(123,\) and dtype float32"):
+        with pytest.raises(ValueError, match=re.escape(
+                "grad must be a float64 vector of shape (123,), got float32 of shape (123,)")):
             net.adam_step(params, np.zeros(123, dtype=np.float32), net.init_adam(params))
 
     @pytest.mark.parametrize("key, moment", [
@@ -222,6 +247,7 @@ class TestAdam:
         ("v", np.zeros(122)),
         ("m", np.zeros(123, dtype=np.float32)),  # would be rounded on every step
         ("v", np.zeros((1, 123))),
+        ("v", np.zeros(123, dtype=np.float32)),
     ])
     def test_moments_unlike_the_parameters_rejected(self, key, moment):
         params = small_net()  # 123 parameters
@@ -230,8 +256,8 @@ class TestAdam:
         setattr(state, key, moment)
         m, v = state.m.copy(), state.v.copy()
         with pytest.raises(ValueError, match=re.escape(
-                f"Adam moments must be float64 of shape (123,), got m {state.m.dtype} of "
-                f"shape {state.m.shape} and v {state.v.dtype} of shape {state.v.shape}")):
+                f"state.{key} must be a float64 vector of shape (123,), got {moment.dtype} of "
+                f"shape {moment.shape}")):
             net.adam_step(params, np.ones(123), state)
         assert np.array_equal(params.flat, before)
         assert np.array_equal(state.m, m) and np.array_equal(state.v, v) and state.t == 0
@@ -301,12 +327,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(f"{path}: not a pslearn checkpoint (no flat)")):
             net.load_checkpoint(path)
 
+    @pytest.mark.parametrize("key", ["meta", "flat", "adam_m", "adam_v", "input_offset",
+                                     "input_scale"])
+    def test_missing_entry_named_after_the_path_once(self, tmp_path, key):
+        _, path = self.saved(tmp_path)
+        self.rewrite(path, lambda arrays: arrays.pop(key))
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{path}: not a pslearn checkpoint (no {key})") + "$"):
+            net.load_checkpoint(path)
+
     @pytest.mark.parametrize("key", ["flat", "adam_m", "adam_v"])
     def test_vectors_of_another_dtype_name_the_file_and_entry(self, tmp_path, key):
         _, path = self.saved(tmp_path)
         self.rewrite(path, lambda arrays: arrays.update({key: arrays[key].astype(np.float32)}))
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}: {key} has dtype float32, not float64")):
+                f"{path}: {key} must be a float64 vector of shape (17,), got float32 of "
+                "shape (17,)")):
             net.load_checkpoint(path)
 
     @pytest.mark.parametrize("key, value, message", [
@@ -331,5 +367,6 @@ class TestCheckpoint:
         _, path = self.saved(tmp_path)  # (2, 3, 2): 17 parameters
         self.rewrite(path, lambda arrays: arrays.update({key: arrays[key][:-1]}))
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}: layer sizes (2, 3, 2) need 17 parameters and moments")):
+                f"{path}: {key} must be a float64 vector of shape (17,), got float64 of "
+                "shape (16,)")):
             net.load_checkpoint(path)

@@ -4,6 +4,7 @@ frozen normalization state."""
 
 import math
 import pickle
+import re
 import threading
 import tracemalloc
 
@@ -103,6 +104,17 @@ class TestConfig:
         # numpy's seeding would reject it later without naming the key.
         with pytest.raises(ValueError, match="^need seed >= 0, got -1$"):
             TrainConfig(problem="zdt3", algorithm="gpsl-g", seed=-1)
+
+    @pytest.mark.parametrize("sizes", [(8.7,), ("8",), (0,), (True,), (16, -1)])
+    def test_hidden_sizes_must_be_ints_of_at_least_one(self, sizes):
+        with pytest.raises(ValueError, match=re.escape(
+                f"need hidden_sizes of ints >= 1, got {sizes!r}")):
+            TrainConfig(problem="zdt3", algorithm="gpsl-g", hidden_sizes=sizes)
+
+    def test_no_hidden_layer_trains_a_linear_model(self):
+        cfg = TrainConfig(problem="zdt3", algorithm="gpsl-g", **{**TINY, "hidden_sizes": ()})
+        result = train(cfg)
+        assert result.params.layer_sizes == (30, 30)
 
     def test_dirichlet_latent_dim_not_configurable(self):
         cfg = TrainConfig(problem="zdt3", algorithm="psl-ls", latent_dim=5)
