@@ -22,11 +22,12 @@ distribution is centred far from the origin (e.g. box midpoints of problems
 with large-magnitude bounds) and is part of the model, not of the sampler.
 
 Evaluation maps its batch through the private ``_predict``: the same layer
-chain and bits as :func:`forward`, without a cache, written into buffers
-the calling thread keeps for its last batch shape. Only repeated scoring in
-one process reuses them: every evaluation row of a run and repeat
-``evaluate_model`` calls do, while ``pslearn eval``'s single call allocates
-as before.
+chain and bits as :func:`forward`, without a cache, written into views of
+one float64 vector per thread. The vector grows to the largest score the
+thread has made and is kept, so scoring any model, of any layer sizes,
+after that allocates no (n, width) arrays: every evaluation row of a run
+and repeat ``evaluate_model`` calls reuse it, while ``pslearn eval``'s
+single call allocates as before.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import zipfile
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -251,27 +252,31 @@ def forward(params: NetworkParams, v, lb, ub):
     return x, {"activations": activations, "sigmoid": sig, "span": span}
 
 
-# The calling thread's buffers for _predict: one set, for the last
-# (n, layer_sizes) it saw.
+# The calling thread's scoring vector for _predict: one float64 vector,
+# grown to the largest score the thread has made and kept.
 _pool = threading.local()
 
 
 def _predict(params: NetworkParams, v, lb, ub) -> np.ndarray:
     """The ``x`` of :func:`forward`, bit for bit, without a cache.
 
-    Every layer and the output go to buffers the calling thread keeps for
-    its last batch shape, so repeated scoring allocates no (n, width)
-    arrays. The returned array is one of them: it is valid until this
-    thread's next call.
+    Every layer and the output are (n, width) views carved from the calling
+    thread's vector, which grows only when a call needs more floats,
+    ``n * (sum(layer_sizes) + layer_sizes[-1])``, than it holds, so scoring
+    no larger than the largest score so far allocates no (n, width) arrays,
+    whatever the model. The returned array is one of the views: it is valid
+    until this thread's next call.
     """
     v, lb, ub = _inputs(params, v, lb, ub)
-    key = (len(v), params.layer_sizes)
-    if getattr(_pool, "key", None) != key:
-        _pool.key = _pool.buffers = None  # drop the old set before allocating
-        _pool.buffers = [np.empty((len(v), size))
-                         for size in (*params.layer_sizes, params.layer_sizes[-1])]
-        _pool.key = key
-    *layers, x = _pool.buffers
+    n, sizes = len(v), params.layer_sizes
+    widths = (*sizes, sizes[-1])
+    need = n * sum(widths)
+    vector = getattr(_pool, "vector", None)
+    if vector is None or vector.size < need:
+        _pool.vector = vector = None  # drop the old vector before allocating
+        _pool.vector = vector = np.empty(need)
+    *layers, x = (vector[n * start : n * end].reshape(n, end - start)
+                  for start, end in pairwise(accumulate(widths, initial=0)))
     _layers(params, v, layers)
     # The output layer is not needed after the sigmoid: it takes 1 + exp(-|z|).
     _sigmoid(layers[-1], out=x, scratch=layers[-1])

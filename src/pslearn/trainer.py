@@ -360,7 +360,12 @@ def _resolve_front(problem: Problem, front: ParetoFrontData | None) -> ParetoFro
 def _normalized_front(front: ParetoFrontData, ref_offset: float):
     # The front's normalizer, r and exact HV: computed on first use per
     # ref_offset and kept on the front, whose points are read-only. Every
-    # run scored on the front shares them, so r is read-only too.
+    # run scored on the front shares them, so r is read-only too. A bad
+    # ref_offset is rejected before it can become a key.
+    if not math.isfinite(ref_offset):
+        raise ValueError(f"need ref_offset finite, got {ref_offset!r}")
+    if not ref_offset > 0:
+        raise ValueError(f"need ref_offset > 0, got {ref_offset!r}")
     scaled = front._scaled
     if ref_offset not in scaled:
         extremes = _RunningExtremes(front.m)
@@ -407,7 +412,8 @@ def evaluate_model(
     with a fixed seed, maps them through the model, normalizes objectives by
     the front's componentwise extremes and compares exact hypervolumes (of
     the non-dominated subset) at reference point (ref_offset, ...). A front
-    with another number of objectives than the problem raises ``ValueError``.
+    with another number of objectives than the problem, or a ``ref_offset``
+    that is not finite and > 0, raises ``ValueError``.
     """
     if n_eval < 1:
         raise ValueError("n_eval must be >= 1")

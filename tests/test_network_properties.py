@@ -62,9 +62,16 @@ def test_sigmoid_bits_equal_masked_oracle(z):
        n=st.integers(1, 1200), seed=st.integers(0, 2**16),
        offset=st.floats(-1e3, 1e3), scale=st.floats(1e-3, 1e3),
        lb=st.floats(-1e6, 1e6), span=st.floats(1e-6, 1e8),
-       gain=st.sampled_from([1.0, 1e2, 1e4]))
-def test_predict_bits_equal_forward(sizes, n, seed, offset, scale, lb, span, gain):
+       gain=st.sampled_from([1.0, 1e2, 1e4]),
+       other_sizes=st.lists(st.integers(1, 70), min_size=2, max_size=4).map(tuple),
+       other_n=st.integers(1, 1200))
+def test_predict_bits_equal_forward(sizes, n, seed, offset, scale, lb, span, gain,
+                                    other_sizes, other_n):
     rng = np.random.default_rng(seed)
+    # Score another model first, so this thread's vector holds another layout.
+    other = net.init_network(other_sizes, seed + 1)
+    net._predict(other, rng.normal(size=(other_n, other_sizes[0])),
+                 np.zeros(other_sizes[-1]), np.ones(other_sizes[-1]))
     k, d = sizes[0], sizes[-1]
     params = net.init_network(sizes, seed, input_offset=offset + rng.normal(size=k),
                               input_scale=scale * rng.uniform(0.5, 2.0, size=k))

@@ -329,6 +329,21 @@ class TestEvaluateModel:
         with pytest.raises(ValueError, match="^front has 2 objectives but dtlz5 has 3$"):
             evaluate_model(params, prob, draw, zdt3_front, n_eval=16)
 
+    @pytest.mark.parametrize("ref_offset, need", [
+        (math.nan, "finite, got nan"), (math.inf, "finite, got inf"),
+        (-1.0, "> 0, got -1.0"), (0.0, "> 0, got 0.0")], ids=["nan", "inf", "-1", "0"])
+    def test_bad_ref_offset_rejected_before_caching(self, ref_offset, need):
+        # Without the check NaN, -1.0 and 0.0 scored log(1e-6), a perfect
+        # score, and inf scored NaN.
+        prob = get_problem("zdt3")
+        cfg = TrainConfig(problem="zdt3", algorithm="gpsl-g")
+        draw, _, _ = latent_sampler(cfg, prob)
+        params = net.init_network((prob.d, 8, prob.d), seed=0)
+        front = pareto_front(prob)
+        with pytest.raises(ValueError, match=f"^need ref_offset {re.escape(need)}$"):
+            evaluate_model(params, prob, draw, front, n_eval=16, ref_offset=ref_offset)
+        assert front._scaled == {}
+
     def test_epsilon_rule(self):
         from pslearn.trainer import _hv_report
 
@@ -400,29 +415,46 @@ class TestFrontCache:
 
 
 class TestScoringBuffers:
-    """Evaluation runs the model through buffers each thread keeps for its
-    last batch shape; no score may see another's values."""
+    """Evaluation runs the model through views of one float64 vector per
+    thread, grown to the largest score the thread has made and kept, so
+    scoring models of any layer sizes reuses it; no score may see another's
+    values."""
 
     @staticmethod
-    def scoring_job(problem, n, seed, hidden_sizes=(64, 64)):
+    def scoring_job(problem, n, seed, hidden_sizes=(64, 64), algorithm="gpsl-g"):
         # Trained long enough that zdt3's learned HV is above 0.
         prob = get_problem(problem)
-        cfg = TrainConfig(problem=problem, algorithm="gpsl-g", seed=seed, iterations=120,
+        cfg = TrainConfig(problem=problem, algorithm=algorithm, seed=seed, iterations=120,
                           eval_interval=120, hidden_sizes=hidden_sizes)
         draw, _, _ = latent_sampler(cfg, prob)
         normalized = trainer._normalized_front(pareto_front(prob), cfg.ref_offset)
         return train(cfg).params, prob, draw(n, seed), normalized
 
-    def test_warm_score_allocates_less_than_one_layer(self):
-        job = self.scoring_job("zdt3", 1000, 0)
-        trainer._score(*job)  # allocates this thread's buffers
+    @staticmethod
+    def warm_peak(jobs):
+        # tracemalloc's peak bytes over scoring the jobs twice in turn, once
+        # each has been scored outside it.
+        for job in jobs:
+            trainer._score(*job)
         tracemalloc.start()
         try:
-            trainer._score(*job)
-            _, peak = tracemalloc.get_traced_memory()
+            for job in jobs * 2:
+                trainer._score(*job)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1000 * 64 * 8  # one (1000, 64) float64 layer
+
+    def test_warm_score_allocates_less_than_one_layer(self):
+        job = self.scoring_job("zdt3", 1000, 0)
+        assert self.warm_peak([job]) < 1000 * 64 * 8  # one (1000, 64) float64 layer
+
+    def test_alternating_layer_sizes_allocate_less_than_one_layer(self):
+        # (30, 64, 64, 30) and (2, 64, 64, 30): buffers kept for the last
+        # layout only were freed and allocated again on every switch (a
+        # 1.87 MB peak).
+        jobs = [self.scoring_job("zdt3", 1000, 0),
+                self.scoring_job("zdt3", 1000, 0, algorithm="psl-tch")]
+        assert self.warm_peak(jobs) < 1000 * 64 * 8
 
     def test_training_on_other_shapes_in_between_changes_no_csv(self, tmp_path):
         def run(problem, name):
