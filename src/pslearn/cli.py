@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from .problems import get_problem, load_reference_front, pareto_front
+from .sampling import _check_count
 from .trainer import (
     ALGORITHMS,
     GPSL_ALGORITHMS,
@@ -146,8 +147,7 @@ def _build_tasks(settings: dict, arms) -> tuple[Path, list[dict]]:
     dimension included, and every problem's reference front has loaded.
     """
     seeds = settings.get("seeds", 11)
-    if seeds < 1:
-        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    _check_count("seeds", seeds)
     base = _base_kwargs(settings)
     out_dir = Path(settings.get("out") or os.environ.get(OUTPUT_ROOT_ENV) or "runs")
     tasks = [

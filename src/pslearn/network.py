@@ -20,6 +20,8 @@ Latent inputs are standardised by a fixed affine transform stored with the
 parameters; this keeps the first layer well-scaled even when the latent
 distribution is centred far from the origin (e.g. box midpoints of problems
 with large-magnitude bounds) and is part of the model, not of the sampler.
+Layer sizes, two or more ints >= 1, are checked in :class:`NetworkParams`,
+which :func:`init_network` and :func:`load_checkpoint` both go through.
 
 Evaluation maps its batch through the private ``_predict``: the same layer
 chain and bits as :func:`forward`, without a cache, written into views of
@@ -36,11 +38,13 @@ import json
 import threading
 import zipfile
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, pairwise
 
 import numpy as np
+
+from .sampling import _check_beta, _check_count, _check_positive
 
 __all__ = [
     "NetworkParams",
@@ -69,6 +73,12 @@ def _check_vector(name: str, array: np.ndarray, size: int) -> None:
     if array.dtype != np.float64 or array.shape != (size,):
         raise ValueError(f"{name} must be a float64 vector of shape ({size},), "
                          f"got {array.dtype} of shape {array.shape}")
+
+
+def _check_layer_sizes(sizes: tuple) -> tuple[int, ...]:
+    if len(sizes) < 2:
+        raise ValueError(f"need at least an input and an output layer, got {sizes}")
+    return tuple(_check_count(f"layer_sizes[{i}]", size) for i, size in enumerate(sizes))
 
 
 def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -103,7 +113,7 @@ class NetworkParams:
     biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        sizes = self.layer_sizes
+        self.layer_sizes = sizes = _check_layer_sizes(self.layer_sizes)
         _check_vector("flat", self.flat, _layer_offsets(sizes)[-1])
         for name, array, positive in (("input_offset", self.input_offset, False),
                                       ("input_scale", self.input_scale, True)):
@@ -122,21 +132,13 @@ class NetworkParams:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def copy(self) -> "NetworkParams":
-        return replace(
-            self,
-            flat=self.flat.copy(),
-            input_offset=self.input_offset.copy(),
-            input_scale=self.input_scale.copy(),
-        )
-
 
 @dataclass
 class AdamState:
     """First/second moment accumulators and hyperparameters of Adam.
 
     The moments ``m`` and ``v`` are flat vectors laid out like
-    :attr:`NetworkParams.flat`.
+    :attr:`NetworkParams.flat`; ``t`` counts the steps taken.
     """
 
     m: np.ndarray
@@ -146,6 +148,13 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def __post_init__(self):
+        self.t = _check_count("t", self.t, 0)
+        _check_positive("learning_rate", self.learning_rate)
+        _check_positive("eps", self.eps)
+        _check_beta("beta1", self.beta1)
+        _check_beta("beta2", self.beta2)
 
 
 class NonFiniteGradient(ValueError):
@@ -163,25 +172,15 @@ def init_network(
     input_scale=None,
 ) -> NetworkParams:
     """Symmetric scaled-uniform weight init (scale 1/sqrt(fan_in)), zero biases;
-    each layer's weights, in order, are drawn into a view of one vector."""
-    sizes = tuple(int(s) for s in layer_sizes)
-    if len(sizes) < 2:
-        raise ValueError(f"need at least an input and an output layer, got {sizes}")
-    if any(s < 1 for s in sizes):
-        raise ValueError(f"all layer sizes must be positive, got {sizes}")
-    k = sizes[0]
-    offset = np.zeros(k) if input_offset is None else np.broadcast_to(
-        np.asarray(input_offset, dtype=float), (k,)
-    ).copy()
-    scale = np.ones(k) if input_scale is None else np.broadcast_to(
-        np.asarray(input_scale, dtype=float), (k,)
-    ).copy()
-    params = NetworkParams(
-        layer_sizes=sizes,
-        flat=np.zeros(_layer_offsets(sizes)[-1]),
-        input_offset=offset,
-        input_scale=scale,
-    )
+    each layer's weights, in order, are drawn into a view of one vector.
+    The layer sizes get :class:`NetworkParams`' check before the vector is
+    sized from them; the input offset (default 0) and scale (default 1)
+    broadcast to the input width."""
+    sizes = _check_layer_sizes(tuple(layer_sizes))
+    offset, scale = (np.array(np.broadcast_to(np.asarray(value, dtype=float), (sizes[0],)))
+                     for value in (0.0 if input_offset is None else input_offset,
+                                   1.0 if input_scale is None else input_scale))
+    params = NetworkParams(sizes, np.zeros(_layer_offsets(sizes)[-1]), offset, scale)
     rng = np.random.default_rng(seed)
     for w in params.weights:
         bound = 1.0 / np.sqrt(w.shape[1])
@@ -408,8 +407,9 @@ def load_checkpoint(path):
     A file that :func:`save_checkpoint` did not write raises ``ValueError``
     naming the path and, for a readable ``.npz`` archive, the entry or
     ``meta`` key it lacks (``flat``, for a per-layer file), a parameter or
-    moment array that is not a float64 vector of the model's size, or an
-    input standardisation that :class:`NetworkParams` rejects.
+    moment array that is not a float64 vector of the model's size, or layer
+    sizes, an input standardisation or Adam settings that
+    :class:`NetworkParams` or :class:`AdamState` rejects.
     """
     try:
         archive = np.load(path)
@@ -445,6 +445,7 @@ def load_checkpoint(path):
                                input_scale=scale)
         for name, moment in (("adam_m", m), ("adam_v", v)):
             _check_vector(name, moment, params.flat.size)
+        state = AdamState(m=m, v=v, **adam)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return params, AdamState(m=m, v=v, **adam), seeds
+    return params, state, seeds

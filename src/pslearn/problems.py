@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .hv import nondominated_filter
-from .sampling import _check_box
+from .sampling import _check_box, _check_count
 
 __all__ = [
     "Problem",
@@ -69,6 +69,8 @@ class Problem:
     _front: Callable[[int], np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        _check_count("m", self.m, 2)
+        _check_count("d", self.d, self.m)
         lb = np.asarray(self.lb, dtype=float)
         ub = np.asarray(self.ub, dtype=float)
         object.__setattr__(self, "lb", lb)
@@ -76,10 +78,6 @@ class Problem:
         if lb.shape != (self.d,) or ub.shape != (self.d,):
             raise ValueError(f"bounds must have shape ({self.d},)")
         _check_box(lb, ub)
-        if self.m < 2:
-            raise ValueError(f"need m >= 2 objectives, got {self.m}")
-        if self.d < self.m:
-            raise ValueError(f"need d >= m, got d={self.d}, m={self.m}")
 
     def _checked_batch(self, xs: np.ndarray) -> np.ndarray:
         if xs.ndim != 2 or xs.shape[1] != self.d:

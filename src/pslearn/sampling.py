@@ -15,6 +15,7 @@ distances into a volume estimate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,30 @@ class DirectionSet:
         return self.directions.shape[0]
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
+def _check_count(name: str, value, low: int = 1) -> int:
+    """The one count check: an int (a numpy integer too, a bool not) >= ``low``,
+    returned as a Python int for callers that keep it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"need {name} an int, got {value!r}")
+    if value < low:
+        raise ValueError(f"need {name} >= {low}, got {value}")
+    return int(value)
+
+
+def _check_positive(name: str, value) -> None:
+    """The one check of a positive number: a real (not a bool), finite and > 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"need {name} a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"need {name} finite, got {value}")
+    if not value > 0:
+        raise ValueError(f"need {name} > 0, got {value}")
+
+
+def _check_beta(name: str, value) -> None:
+    """The one check of an Adam moment decay: a real number (not a bool) in [0, 1)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < 1:
+        raise ValueError(f"need {name} in [0, 1), got {value!r}")
 
 
 def _check_box(lb: np.ndarray, ub: np.ndarray) -> None:
@@ -75,10 +98,10 @@ def _check_box(lb: np.ndarray, ub: np.ndarray) -> None:
 
 def sample_gaussian(k: int, center, n: int, seed) -> np.ndarray:
     """Draw ``n`` points from an isotropic unit-variance Gaussian at ``center``."""
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    _check_count("n", n)
+    _check_count("k", k)
     center = np.broadcast_to(np.asarray(center, dtype=float), (k,))
-    z = _rng(seed).standard_normal((n, k))
+    z = np.random.default_rng(seed).standard_normal((n, k))
     z += center  # in place: one (n, k) array, the same sum
     return z
 
@@ -90,12 +113,12 @@ def sample_lhs(k: int, lb, ub, n: int, seed) -> np.ndarray:
     assignment is a seeded random permutation per coordinate and placement
     within a stratum is uniform.
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    _check_count("n", n)
+    _check_count("k", k)
     lb = np.broadcast_to(np.asarray(lb, dtype=float), (k,))
     ub = np.broadcast_to(np.asarray(ub, dtype=float), (k,))
     _check_box(lb, ub)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     samples = np.empty((n, k), dtype=float)
     for j in range(k):
         strata = rng.permutation(n)
@@ -106,11 +129,10 @@ def sample_lhs(k: int, lb, ub, n: int, seed) -> np.ndarray:
 
 def sample_dirichlet(m: int, alpha: float, n: int, seed) -> np.ndarray:
     """Draw ``n`` points from the symmetric Dirichlet(alpha) on the simplex."""
-    if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    if alpha <= 0.0:
-        raise ValueError(f"need alpha > 0, got {alpha}")
-    return _rng(seed).dirichlet(np.full(m, float(alpha)), size=n)
+    _check_count("n", n)
+    _check_count("m", m)
+    _check_positive("alpha", alpha)
+    return np.random.default_rng(seed).dirichlet(np.full(m, float(alpha)), size=n)
 
 
 def r2_constant(m: int, n_directions: int) -> float:
@@ -141,8 +163,8 @@ def das_dennis(m: int, divisions: int) -> DirectionSet:
     enumerated, exact zeros are clamped to a small positive value, and each
     vector is rescaled to unit L2 norm.
     """
-    if m < 2 or divisions < 1:
-        raise ValueError(f"need m >= 2 and divisions >= 1, got m={m}, divisions={divisions}")
+    _check_count("m", m, 2)
+    _check_count("divisions", divisions)
     weights = _lattice_weights(m, divisions)
     weights[weights == 0.0] = ZERO_CLAMP
     directions = weights / np.linalg.norm(weights, axis=1, keepdims=True)

@@ -25,9 +25,13 @@ __all__ = [
 PREFERENCE_CLAMP = 1e-6
 
 
-def _check_dims(f: np.ndarray, p: np.ndarray) -> None:
+def _arrays(f, p) -> tuple[np.ndarray, np.ndarray]:
+    # f and p as float arrays of one shape.
+    f = np.asarray(f, dtype=float)
+    p = np.asarray(p, dtype=float)
     if f.shape != p.shape:
         raise ValueError(f"objective vector shape {f.shape} != preference shape {p.shape}")
+    return f, p
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -47,18 +51,14 @@ def _pick(terms: np.ndarray, i_star: np.ndarray, values) -> tuple[np.ndarray, np
 
 def weighted_sum(f, p):
     """g = sum_i p_i f_i; gradient is p itself."""
-    f = np.asarray(f, dtype=float)
-    p = np.asarray(p, dtype=float)
-    _check_dims(f, p)
+    f, p = _arrays(f, p)
     return _dot(p, f), p.copy()
 
 
 def tchebycheff(f, p, epsilon: float):
     """g = max_i p_i (f_i + eps), f measured from the ideal point (the origin
     after the trainer's min-max normalization); subgradient p_i* at the argmax."""
-    f = np.asarray(f, dtype=float)
-    p = np.asarray(p, dtype=float)
-    _check_dims(f, p)
+    f, p = _arrays(f, p)
     terms = p * (f + epsilon)
     return _pick(terms, np.argmax(terms, axis=-1), p)
 
@@ -66,9 +66,8 @@ def tchebycheff(f, p, epsilon: float):
 def modified_tchebycheff(f, p, epsilon: float):
     """g = max_i (f_i + eps) / p_i, f measured from the ideal point;
     subgradient 1/p_i* at the argmax."""
-    f = np.asarray(f, dtype=float)
-    p = np.maximum(np.asarray(p, dtype=float), PREFERENCE_CLAMP)
-    _check_dims(f, p)
+    f, p = _arrays(f, p)
+    p = np.maximum(p, PREFERENCE_CLAMP)
     terms = (f + epsilon) / p
     return _pick(terms, np.argmax(terms, axis=-1), 1.0 / p)
 
@@ -79,9 +78,7 @@ def cosmos(f, p, gamma: float = 1.0):
     When ``f`` is the zero vector the cosine term is treated as 0 with zero
     gradient.
     """
-    f = np.asarray(f, dtype=float)
-    p = np.asarray(p, dtype=float)
-    _check_dims(f, p)
+    f, p = _arrays(f, p)
     dot = _dot(p, f)
     norm_f = np.sqrt(_dot(f, f))
     norm_p = np.sqrt(_dot(p, p))
@@ -116,9 +113,8 @@ def hv_scalarization(f, direction, ref):
     ``f`` does not strictly dominate the reference point, ``s <= 0`` is
     returned as-is; the training signal still pushes the point inward.
     """
-    f = np.asarray(f, dtype=float)
-    lam = np.maximum(np.asarray(direction, dtype=float), PREFERENCE_CLAMP)
+    f, lam = _arrays(f, direction)
+    lam = np.maximum(lam, PREFERENCE_CLAMP)
     r = np.asarray(ref, dtype=float)
-    _check_dims(f, lam)
     quotients = (r - f) / lam
     return _pick(quotients, np.argmin(quotients, axis=-1), -1.0 / lam)

@@ -38,6 +38,9 @@ from .hv import (
 )
 from .problems import ParetoFrontData, Problem, get_problem, pareto_front
 from .sampling import (
+    _check_beta,
+    _check_count,
+    _check_positive,
     das_dennis,
     default_divisions,
     sample_dirichlet,
@@ -108,23 +111,22 @@ class TrainConfig:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; valid: {', '.join(ALGORITHMS)}"
             )
-        for keys, valid, need in (
-            (("learning_rate", "beta1", "beta2", "eps_adam", "tch_epsilon", "cosmos_gamma",
-              "dirichlet_alpha", "ref_offset"), math.isfinite, "finite"),
-            (("iterations", "batch_size", "eval_interval", "eval_samples"),
-             lambda x: x >= 1, ">= 1"),
-            (("latent_dim", "directions_h"), lambda x: x is None or x >= 1, ">= 1"),
-            (("seed", "eval_seed", "tch_epsilon", "cosmos_gamma"), lambda x: x >= 0, ">= 0"),
-            (("learning_rate", "eps_adam", "dirichlet_alpha", "ref_offset"),
-             lambda x: x > 0, "> 0"),
-            (("beta1", "beta2"), lambda x: 0 <= x < 1, "in [0, 1)"),
-            (("hidden_sizes",), lambda sizes: all(
-                isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in sizes),
-             "of ints >= 1"),
-        ):
-            for key in keys:
-                if not valid(getattr(self, key)):
-                    raise ValueError(f"need {key} {need}, got {getattr(self, key)!r}")
+        for key, low in (("iterations", 1), ("batch_size", 1), ("eval_interval", 1),
+                         ("eval_samples", 1), ("seed", 0), ("eval_seed", 0)):
+            setattr(self, key, _check_count(key, getattr(self, key), low))
+        for key in ("latent_dim", "directions_h"):  # None: set from the problem
+            if getattr(self, key) is not None:
+                setattr(self, key, _check_count(key, getattr(self, key)))
+        self.hidden_sizes = tuple(_check_count(f"hidden_sizes[{i}]", size)
+                                  for i, size in enumerate(self.hidden_sizes))
+        for key in ("learning_rate", "eps_adam", "dirichlet_alpha", "ref_offset"):
+            _check_positive(key, getattr(self, key))
+        for key in ("beta1", "beta2"):
+            _check_beta(key, getattr(self, key))
+        for key in ("tch_epsilon", "cosmos_gamma"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"need {key} finite and >= 0, got {value!r}")
 
     def resolved_latent_dim(self, problem: Problem) -> int:
         if self.algorithm in ("gpsl-g", "gpsl-l"):
@@ -199,18 +201,8 @@ def write_metrics_csv(metrics: MetricsLog, path) -> None:
     across reruns of the same config and seed.
     """
     lines = [",".join(CSV_COLUMNS)]
-    for rec in metrics.records:
-        lines.append(
-            ",".join(
-                [
-                    str(rec.iteration),
-                    repr(rec.loss),
-                    repr(rec.hv_learned),
-                    repr(rec.hv_true),
-                    repr(rec.log_hv_difference),
-                ]
-            )
-        )
+    lines += [",".join(repr(getattr(rec, column)) for column in CSV_COLUMNS)
+              for rec in metrics.records]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -362,10 +354,7 @@ def _normalized_front(front: ParetoFrontData, ref_offset: float):
     # ref_offset and kept on the front, whose points are read-only. Every
     # run scored on the front shares them, so r is read-only too. A bad
     # ref_offset is rejected before it can become a key.
-    if not math.isfinite(ref_offset):
-        raise ValueError(f"need ref_offset finite, got {ref_offset!r}")
-    if not ref_offset > 0:
-        raise ValueError(f"need ref_offset > 0, got {ref_offset!r}")
+    _check_positive("ref_offset", ref_offset)
     scaled = front._scaled
     if ref_offset not in scaled:
         extremes = _RunningExtremes(front.m)
@@ -413,10 +402,9 @@ def evaluate_model(
     the front's componentwise extremes and compares exact hypervolumes (of
     the non-dominated subset) at reference point (ref_offset, ...). A front
     with another number of objectives than the problem, or a ``ref_offset``
-    that is not finite and > 0, raises ``ValueError``.
-    """
-    if n_eval < 1:
-        raise ValueError("n_eval must be >= 1")
+    that is not finite and > 0, or an ``n_eval`` that is not an int >= 1,
+    raises ``ValueError``."""
+    _check_count("n_eval", n_eval)
     normalized = _normalized_front(_resolve_front(problem, front), ref_offset)
     return _score(params, problem, sampler(n_eval, seed), normalized)
 
@@ -428,16 +416,10 @@ def evaluate_model(
 def _train_loop(config: TrainConfig, problem: Problem, front: ParetoFrontData,
                 batch_loss) -> TrainResult:
     draw, in_offset, in_scale = latent_sampler(config, problem)
-    k = config.resolved_latent_dim(problem)
-    layer_sizes = (k, *config.hidden_sizes, problem.d)
+    layer_sizes = (len(in_offset), *config.hidden_sizes, problem.d)
     params = net.init_network(layer_sizes, config.seed, in_offset, in_scale)
-    state = net.init_adam(
-        params,
-        learning_rate=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.eps_adam,
-    )
+    state = net.init_adam(params, learning_rate=config.learning_rate, beta1=config.beta1,
+                          beta2=config.beta2, eps=config.eps_adam)
     rng = np.random.default_rng(config.seed)
     normalized = _normalized_front(front, config.ref_offset)
     eval_latents = draw(config.eval_samples, config.eval_seed)  # the same every row

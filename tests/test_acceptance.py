@@ -5,6 +5,7 @@ The end-to-end criteria share module-scoped training runs; expect a few
 minutes of CPU time for the whole module.
 """
 
+import copy
 
 import numpy as np
 import pytest
@@ -184,7 +185,7 @@ class TestCriterion1Gradients:
                 return ext
 
             def loss_of(theta):
-                trial = params.copy()
+                trial = copy.deepcopy(params)
                 trial.flat[:] = theta
                 loss, _ = _batch_loss(trial, latents, problem, wide(), hv_loss)
                 return loss

@@ -294,6 +294,23 @@ class TestEval:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
+    def test_float_layer_size_is_an_error_naming_the_file(self, tmp_path, capsys):
+        # A traceback before layer sizes were checked as ints.
+        params = net.init_network((30, 4, 30), seed=0)
+        path = tmp_path / "float.ckpt.npz"
+        net.save_checkpoint(path, params, net.init_adam(params), {})
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        meta["layer_sizes"] = [30.0, 4, 30]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        rc = main(["eval", "--checkpoint", str(path), "--problem", "zdt3", "--algo", "gpsl-g"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: need layer_sizes[0] an int, got 30.0\n")
+
     @pytest.mark.parametrize("flags, message", [
         (["--problem", "zdt3", "--algo", "gpsl-l"], "algorithm 'gpsl-g', not 'gpsl-l'"),
         (["--problem", "dtlz7", "--algo", "gpsl-g"], "problem 'zdt3', not 'dtlz7'"),
@@ -457,7 +474,7 @@ class TestUnrunnableSettings:
     def test_zero_seeds_is_an_error(self, tmp_path, capsys, command):
         out = tmp_path / "out"
         assert main([*command, "--seeds", "0", "--out", str(out), *FAST]) == 1
-        assert capsys.readouterr().err == "error: seeds must be >= 1, got 0\n"
+        assert capsys.readouterr().err == "error: need seeds >= 1, got 0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [

@@ -1,6 +1,7 @@
 """Transformation-model tests: init, forward squashing, reverse-mode
 gradients against finite differences, Adam, and checkpoint round-trips."""
 
+import copy
 import json
 import re
 
@@ -155,7 +156,7 @@ class TestBackward:
             analytic = net.backward(params, cache, x - target)
 
             def loss_of(theta_flat):
-                trial = params.copy()
+                trial = copy.deepcopy(params)
                 trial.flat[:] = theta_flat
                 xt, _ = net.forward(trial, v, lb, ub)
                 return 0.5 * np.sum((xt - target) ** 2)
@@ -180,7 +181,7 @@ def layered(params, w_fill, b_fill):
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = small_net(seed=9)
-        before = params.copy()
+        before = copy.deepcopy(params)
         state = net.init_adam(params)
         net.adam_step(params, np.zeros_like(params.flat), state)
         for a, b in zip(before.weights, params.weights):
@@ -191,7 +192,7 @@ class TestAdam:
         # With bias correction, step one moves by -lr * g / (|g| + eps).
         params = small_net(seed=4)
         lr = 1e-3
-        before = params.copy()
+        before = copy.deepcopy(params)
         state = net.init_adam(params, learning_rate=lr)
         net.adam_step(params, layered(params, 0.25, -3.0), state)
         dw = params.weights[0] - before.weights[0]
@@ -202,7 +203,7 @@ class TestAdam:
     def test_deterministic(self, rng):
         # Two copies of one model and state, stepped with one gradient.
         params = small_net(seed=6)
-        twin = params.copy()
+        twin = copy.deepcopy(params)
         state, twin_state = net.init_adam(params), net.init_adam(twin)
         grad = rng.standard_normal(params.flat.shape)
         net.adam_step(params, grad, state)
@@ -297,6 +298,54 @@ class TestCheckpoint:
         np.testing.assert_array_equal(state.m, loaded_state.m)
         np.testing.assert_array_equal(state.v, loaded_state.v)
         np.testing.assert_array_equal(params.input_offset, loaded_params.input_offset)
+
+    @staticmethod
+    def edit_meta(path, key, value, *, adam=False):
+        """Set ``meta[key]`` (``meta["adam"][key]`` with ``adam``) to ``value``."""
+        def edit(arrays):
+            meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+            (meta["adam"] if adam else meta)[key] = value
+            arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+            if key == "layer_sizes":  # vectors sized for the int sizes: only the sizes are bad
+                sizes = [int(s) for s in value]
+                count = sum(b * (a + 1) for a, b in zip(sizes, sizes[1:]))
+                arrays.update({name: np.zeros(count) for name in ("flat", "adam_m", "adam_v")})
+
+        TestCheckpoint.rewrite(path, edit)
+
+    @pytest.mark.parametrize("sizes, message", [
+        ([2, 0, 2], "need layer_sizes[1] >= 1, got 0"),
+        ([2], "need at least an input and an output layer, got (2,)"),
+        ([2.0, 3, 2], "need layer_sizes[0] an int, got 2.0"),
+        (["2", 3, 2], "need layer_sizes[0] an int, got '2'"),
+        ([True, 3, 2], "need layer_sizes[0] an int, got True"),
+    ], ids=["zero-width", "one-layer", "float", "str", "bool"])
+    def test_bad_layer_sizes_name_the_file(self, tmp_path, sizes, message):
+        # The first two loaded; the others failed with a TypeError that did
+        # not name the file.
+        _, path = self.saved(tmp_path)
+        self.edit_meta(path, "layer_sizes", sizes)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
+            net.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("t", 1.5, "need t an int, got 1.5"),
+        ("t", -1, "need t >= 0, got -1"),
+        ("learning_rate", -1.0, "need learning_rate > 0, got -1.0"),
+        ("learning_rate", float("nan"), "need learning_rate finite, got nan"),
+        ("eps", "x", "need eps a real number, got 'x'"),
+        ("eps", 0, "need eps > 0, got 0"),
+        ("beta1", 1.0, "need beta1 in [0, 1), got 1.0"),
+        ("beta2", "0.9", "need beta2 in [0, 1), got '0.9'"),
+    ], ids=["t-float", "t-negative", "lr-negative", "lr-nan", "eps-str", "eps-zero",
+            "beta1-one", "beta2-str"])
+    def test_bad_adam_settings_name_the_file(self, tmp_path, key, value, message):
+        # Each loaded: t = 1.5 bias-corrected the next step with t = 2.5, a
+        # negative learning rate stepped uphill, eps "x" failed inside numpy.
+        _, path = self.saved(tmp_path)
+        self.edit_meta(path, key, value, adam=True)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
+            net.load_checkpoint(path)
 
     def test_other_activation_rejected(self, tmp_path):
         # The model is always ReLU; a checkpoint saying otherwise is not ours.

@@ -257,8 +257,7 @@ def test_checkpoint_round_trip_is_exact(data, sizes, steps):
     assert loaded.flat[0] == math.pi
 
 
-@pytest.mark.parametrize("clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p)),
-                                   net.NetworkParams.copy])
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))])
 def test_copies_keep_their_layers_views_of_their_own_vector(clone):
     params = net.init_network((3, 4, 2), 0, input_offset=1.0)
     twin = clone(params)

@@ -37,6 +37,11 @@ class TestGaussian:
             sample_gaussian(0, (), 3, seed=0)
         with pytest.raises(ValueError):
             sample_gaussian(2, (0, 0), 0, seed=0)
+        # Counts are ints: numpy failed on a float n, and a bool k drew.
+        with pytest.raises(ValueError, match="^need n an int, got 3.0$"):
+            sample_gaussian(2, (0, 0), 3.0, seed=0)
+        with pytest.raises(ValueError, match="^need k an int, got True$"):
+            sample_gaussian(True, 0.0, 3, seed=0)
 
     @pytest.mark.parametrize("center", [0.5, (-1.0, 0.0, 2.5)])
     def test_bits_equal_draw_plus_center(self, center):
@@ -112,6 +117,11 @@ class TestDirichlet:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             sample_dirichlet(3, 0.0, 5, seed=0)
+        # NaN and inf passed `alpha <= 0`, and a bool was taken as 1.
+        for alpha, need in ((math.nan, "finite, got nan"), (math.inf, "finite, got inf"),
+                            (True, "a real number, got True")):
+            with pytest.raises(ValueError, match=f"^need alpha {need}$"):
+                sample_dirichlet(3, alpha, 5, seed=0)
 
     def test_deterministic(self):
         a = sample_dirichlet(4, 2.0, 6, seed=8)
@@ -154,6 +164,11 @@ class TestDasDennis:
             das_dennis(1, 4)
         with pytest.raises(ValueError):
             das_dennis(2, 0)
+        # A float m built a lattice; a float division count failed in range().
+        with pytest.raises(ValueError, match="^need m an int, got 2.0$"):
+            das_dennis(2.0, 4)
+        with pytest.raises(ValueError, match="^need divisions an int, got 4.0$"):
+            das_dennis(2, 4.0)
 
 
 class TestDefaultDivisions:

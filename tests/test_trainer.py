@@ -2,6 +2,7 @@
 gradients (loss -> objectives -> network) against finite differences with
 frozen normalization state."""
 
+import copy
 import math
 import pickle
 import re
@@ -60,7 +61,7 @@ def deterministic_fields(metrics):
 
 def unflatten_into(params, theta):
     # A copy of params with theta, laid out like params.flat, as parameters.
-    trial = params.copy()
+    trial = copy.deepcopy(params)
     trial.flat[:] = theta
     return trial
 
@@ -105,10 +106,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="^need seed >= 0, got -1$"):
             TrainConfig(problem="zdt3", algorithm="gpsl-g", seed=-1)
 
-    @pytest.mark.parametrize("sizes", [(8.7,), ("8",), (0,), (True,), (16, -1)])
+    # Each entry is checked as a count, and the message names the first bad one.
+    BAD_HIDDEN_SIZES = {
+        (8.7,): "hidden_sizes[0] an int, got 8.7",
+        ("8",): "hidden_sizes[0] an int, got '8'",
+        (0,): "hidden_sizes[0] >= 1, got 0",
+        (True,): "hidden_sizes[0] an int, got True",
+        (16, -1): "hidden_sizes[1] >= 1, got -1",
+        (16, np.float64(4.0)): "hidden_sizes[1] an int, got np.float64(4.0)",
+    }
+
+    @pytest.mark.parametrize("sizes", list(BAD_HIDDEN_SIZES))
     def test_hidden_sizes_must_be_ints_of_at_least_one(self, sizes):
-        with pytest.raises(ValueError, match=re.escape(
-                f"need hidden_sizes of ints >= 1, got {sizes!r}")):
+        with pytest.raises(ValueError, match=f"^need {re.escape(self.BAD_HIDDEN_SIZES[sizes])}$"):
             TrainConfig(problem="zdt3", algorithm="gpsl-g", hidden_sizes=sizes)
 
     def test_no_hidden_layer_trains_a_linear_model(self):
