@@ -44,7 +44,7 @@ from itertools import accumulate, pairwise
 
 import numpy as np
 
-from .sampling import _check_beta, _check_count, _check_positive
+from .sampling import _check_count, _check_real
 
 __all__ = [
     "NetworkParams",
@@ -75,10 +75,16 @@ def _check_vector(name: str, array: np.ndarray, size: int) -> None:
                          f"got {array.dtype} of shape {array.shape}")
 
 
-def _check_layer_sizes(sizes: tuple) -> tuple[int, ...]:
-    if len(sizes) < 2:
-        raise ValueError(f"need at least an input and an output layer, got {sizes}")
-    return tuple(_check_count(f"layer_sizes[{i}]", size) for i, size in enumerate(sizes))
+def _check_sizes(name: str, sizes, least: int) -> tuple[int, ...]:
+    """The one size-list check: a sequence of at least ``least`` counts >= 1
+    (a 1-D array too), returned as a tuple of Python ints."""
+    try:
+        sizes = tuple(sizes)
+    except TypeError:
+        raise ValueError(f"need {name} a sequence of ints, got {sizes!r}") from None
+    if len(sizes) < least:
+        raise ValueError(f"need {name} of length >= {least}, got {sizes}")
+    return tuple(_check_count(f"{name}[{i}]", size) for i, size in enumerate(sizes))
 
 
 def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -113,7 +119,7 @@ class NetworkParams:
     biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.layer_sizes = sizes = _check_layer_sizes(self.layer_sizes)
+        self.layer_sizes = sizes = _check_sizes("layer_sizes", self.layer_sizes, 2)
         _check_vector("flat", self.flat, _layer_offsets(sizes)[-1])
         for name, array, positive in (("input_offset", self.input_offset, False),
                                       ("input_scale", self.input_scale, True)):
@@ -151,10 +157,10 @@ class AdamState:
 
     def __post_init__(self):
         self.t = _check_count("t", self.t, 0)
-        _check_positive("learning_rate", self.learning_rate)
-        _check_positive("eps", self.eps)
-        _check_beta("beta1", self.beta1)
-        _check_beta("beta2", self.beta2)
+        _check_real("learning_rate", self.learning_rate)
+        _check_real("eps", self.eps)
+        for key in ("beta1", "beta2"):
+            _check_real(key, getattr(self, key), 0.0, 1.0, open_low=False)
 
 
 class NonFiniteGradient(ValueError):
@@ -176,7 +182,7 @@ def init_network(
     The layer sizes get :class:`NetworkParams`' check before the vector is
     sized from them; the input offset (default 0) and scale (default 1)
     broadcast to the input width."""
-    sizes = _check_layer_sizes(tuple(layer_sizes))
+    sizes = _check_sizes("layer_sizes", layer_sizes, 2)
     offset, scale = (np.array(np.broadcast_to(np.asarray(value, dtype=float), (sizes[0],)))
                      for value in (0.0 if input_offset is None else input_offset,
                                    1.0 if input_scale is None else input_scale))
@@ -406,10 +412,10 @@ def load_checkpoint(path):
 
     A file that :func:`save_checkpoint` did not write raises ``ValueError``
     naming the path and, for a readable ``.npz`` archive, the entry or
-    ``meta`` key it lacks (``flat``, for a per-layer file), a parameter or
-    moment array that is not a float64 vector of the model's size, or layer
-    sizes, an input standardisation or Adam settings that
-    :class:`NetworkParams` or :class:`AdamState` rejects.
+    ``meta`` key it lacks (``flat``, for a per-layer file), a meta of the
+    wrong JSON type, a parameter or moment array that is not a float64
+    vector of the model's size, or layer sizes, an input standardisation or
+    Adam settings that :class:`NetworkParams` or :class:`AdamState` rejects.
     """
     try:
         archive = np.load(path)
@@ -429,10 +435,12 @@ def load_checkpoint(path):
     try:
         meta = json.loads(raw_meta.decode("utf-8"))
         activation, seeds = meta["activation"], meta["seeds"]
-        sizes = tuple(meta["layer_sizes"])
+        sizes = meta["layer_sizes"]
         adam = {key: meta["adam"][key] for key in _ADAM_KEYS}
     except KeyError as exc:
         raise ValueError(f"{path}: not a pslearn checkpoint (no meta key {exc})") from None
+    except TypeError as exc:  # meta, or its "adam", is not a JSON object
+        raise ValueError(f"{path}: not a pslearn checkpoint (meta: {exc})") from None
     except ValueError as exc:
         raise ValueError(f"{path}: meta is not JSON ({exc})") from None
     if activation != "relu":

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .hv import nondominated_filter
-from .sampling import _check_box, _check_count
+from .sampling import _check_box, _check_count, _check_real
 
 __all__ = [
     "Problem",
@@ -145,6 +145,7 @@ def finite_difference_jacobian(problem: Problem, xs, rel_step: float = 1e-6) -> 
     the centered stencil gets a one-sided difference. All 2 n d probe
     points go through one :meth:`Problem.evaluate_batch` call.
     """
+    _check_real("rel_step", rel_step)
     xs = problem._checked_batch(np.asarray(xs, dtype=float))
     n, d = xs.shape
     h = rel_step * (problem.ub - problem.lb)
@@ -490,6 +491,7 @@ def pareto_front(problem: Problem | str, n: int = 1000) -> ParetoFrontData:
     Problems without a closed-form front (the engineering designs, registered
     problems) raise ``ValueError``: load a file with :func:`load_reference_front`.
     """
+    n = _check_count("n", n)
     if isinstance(problem, str):
         problem = get_problem(problem)
     if problem._front is None:

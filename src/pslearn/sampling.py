@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -72,20 +73,18 @@ def _check_count(name: str, value, low: int = 1) -> int:
     return int(value)
 
 
-def _check_positive(name: str, value) -> None:
-    """The one check of a positive number: a real (not a bool), finite and > 0."""
+def _check_real(name: str, value, low: float = 0.0, high: float = math.inf, *,
+                open_low: bool = True) -> None:
+    """The one check of a real setting: a real number (not a bool), finite and
+    in (low, high), or in [low, high) when ``open_low`` is false."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"need {name} a real number, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"need {name} finite, got {value}")
-    if not value > 0:
-        raise ValueError(f"need {name} > 0, got {value}")
-
-
-def _check_beta(name: str, value) -> None:
-    """The one check of an Adam moment decay: a real number (not a bool) in [0, 1)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < 1:
-        raise ValueError(f"need {name} in [0, 1), got {value!r}")
+    if not ((low < value if open_low else low <= value) and value < high):
+        need = (f"{'>' if open_low else '>='} {low:g}" if high == math.inf else
+                f"in {'(' if open_low else '['}{low:g}, {high:g})")
+        raise ValueError(f"need {name} {need}, got {value}")
 
 
 def _check_box(lb: np.ndarray, ub: np.ndarray) -> None:
@@ -131,7 +130,7 @@ def sample_dirichlet(m: int, alpha: float, n: int, seed) -> np.ndarray:
     """Draw ``n`` points from the symmetric Dirichlet(alpha) on the simplex."""
     _check_count("n", n)
     _check_count("m", m)
-    _check_positive("alpha", alpha)
+    _check_real("alpha", alpha)
     return np.random.default_rng(seed).dirichlet(np.full(m, float(alpha)), size=n)
 
 
@@ -141,19 +140,13 @@ def r2_constant(m: int, n_directions: int) -> float:
 
 
 def _lattice_weights(m: int, divisions: int) -> np.ndarray:
-    # All compositions of `divisions` into m non-negative parts, enumerated
-    # with the first coordinate descending (deterministic order).
-    rows: list[tuple[int, ...]] = []
-
-    def recurse(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            rows.append(prefix + (remaining,))
-            return
-        for first in range(remaining, -1, -1):
-            recurse(prefix + (first,), remaining - first, slots - 1)
-
-    recurse((), divisions, m)
-    return np.array(rows, dtype=float) / divisions
+    # All compositions of `divisions` into m non-negative parts, first
+    # coordinate descending, then the second, ...: stars and bars, with the
+    # m - 1 bar positions among divisions + m - 1 slots in reverse
+    # lexicographic order and each part the gap between neighbouring bars.
+    slots = divisions + m - 1
+    bars = np.array(list(combinations(range(slots), m - 1))[::-1])
+    return (np.diff(bars, axis=1, prepend=-1, append=slots) - 1) / divisions
 
 
 def das_dennis(m: int, divisions: int) -> DirectionSet:

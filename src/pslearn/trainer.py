@@ -38,9 +38,8 @@ from .hv import (
 )
 from .problems import ParetoFrontData, Problem, get_problem, pareto_front
 from .sampling import (
-    _check_beta,
     _check_count,
-    _check_positive,
+    _check_real,
     das_dennis,
     default_divisions,
     sample_dirichlet,
@@ -117,16 +116,12 @@ class TrainConfig:
         for key in ("latent_dim", "directions_h"):  # None: set from the problem
             if getattr(self, key) is not None:
                 setattr(self, key, _check_count(key, getattr(self, key)))
-        self.hidden_sizes = tuple(_check_count(f"hidden_sizes[{i}]", size)
-                                  for i, size in enumerate(self.hidden_sizes))
+        self.hidden_sizes = net._check_sizes("hidden_sizes", self.hidden_sizes, 0)
         for key in ("learning_rate", "eps_adam", "dirichlet_alpha", "ref_offset"):
-            _check_positive(key, getattr(self, key))
-        for key in ("beta1", "beta2"):
-            _check_beta(key, getattr(self, key))
-        for key in ("tch_epsilon", "cosmos_gamma"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"need {key} finite and >= 0, got {value!r}")
+            _check_real(key, getattr(self, key))
+        for key, high in (("beta1", 1.0), ("beta2", 1.0), ("tch_epsilon", math.inf),
+                          ("cosmos_gamma", math.inf)):
+            _check_real(key, getattr(self, key), 0.0, high, open_low=False)
 
     def resolved_latent_dim(self, problem: Problem) -> int:
         if self.algorithm in ("gpsl-g", "gpsl-l"):
@@ -354,7 +349,7 @@ def _normalized_front(front: ParetoFrontData, ref_offset: float):
     # ref_offset and kept on the front, whose points are read-only. Every
     # run scored on the front shares them, so r is read-only too. A bad
     # ref_offset is rejected before it can become a key.
-    _check_positive("ref_offset", ref_offset)
+    _check_real("ref_offset", ref_offset)
     scaled = front._scaled
     if ref_offset not in scaled:
         extremes = _RunningExtremes(front.m)

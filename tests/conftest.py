@@ -6,6 +6,7 @@ independent of the library code they validate.
 """
 
 import bisect
+import itertools
 
 import numpy as np
 import pytest
@@ -171,6 +172,13 @@ def central_difference_gradient(fn, x, eps: float = 1e-6) -> np.ndarray:
         lo[i] -= eps
         grad[i] = (fn(hi) - fn(lo)) / (2.0 * eps)
     return grad
+
+
+def lattice_reference(m: int, divisions: int) -> np.ndarray:
+    """Every m-tuple of 0..divisions summing to divisions, each coordinate
+    running from divisions down to 0 (the first slowest), over divisions."""
+    grid = itertools.product(range(divisions, -1, -1), repeat=m)
+    return np.array([row for row in grid if sum(row) == divisions]) / divisions
 
 
 def assert_close(actual, expected, rtol: float, atol: float = 1e-10, msg: str = ""):

@@ -294,22 +294,37 @@ class TestEval:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
-    def test_float_layer_size_is_an_error_naming_the_file(self, tmp_path, capsys):
-        # A traceback before layer sizes were checked as ints.
+    @staticmethod
+    def checkpoint_with_meta(tmp_path, **changes):
+        """A saved (30, 4, 30) checkpoint whose meta has ``changes`` applied."""
         params = net.init_network((30, 4, 30), seed=0)
-        path = tmp_path / "float.ckpt.npz"
+        path = tmp_path / "edited.ckpt.npz"
         net.save_checkpoint(path, params, net.init_adam(params), {})
         with np.load(path) as data:
             arrays = dict(data)
-        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-        meta["layer_sizes"] = [30.0, 4, 30]
+        meta = {**json.loads(bytes(arrays["meta"]).decode("utf-8")), **changes}
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
+        return path
+
+    def test_float_layer_size_is_an_error_naming_the_file(self, tmp_path, capsys):
+        # A traceback before layer sizes were checked as ints.
+        path = self.checkpoint_with_meta(tmp_path, layer_sizes=[30.0, 4, 30])
         rc = main(["eval", "--checkpoint", str(path), "--problem", "zdt3", "--algo", "gpsl-g"])
         assert rc == 1
         assert capsys.readouterr().err == (
             f"error: {path}: need layer_sizes[0] an int, got 30.0\n")
+
+    @pytest.mark.parametrize("key, value", [("adam", [1]), ("layer_sizes", 30)],
+                             ids=["adam-list", "sizes-int"])
+    def test_meta_of_the_wrong_json_type_is_an_error_naming_the_file(self, tmp_path, capsys,
+                                                                      key, value):
+        # A traceback (TypeError) before meta types were caught.
+        path = self.checkpoint_with_meta(tmp_path, **{key: value})
+        rc = main(["eval", "--checkpoint", str(path), "--problem", "zdt3", "--algo", "gpsl-g"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     @pytest.mark.parametrize("flags, message", [
         (["--problem", "zdt3", "--algo", "gpsl-l"], "algorithm 'gpsl-g', not 'gpsl-l'"),

@@ -315,7 +315,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("sizes, message", [
         ([2, 0, 2], "need layer_sizes[1] >= 1, got 0"),
-        ([2], "need at least an input and an output layer, got (2,)"),
+        ([2], "need layer_sizes of length >= 2, got (2,)"),
         ([2.0, 3, 2], "need layer_sizes[0] an int, got 2.0"),
         (["2", 3, 2], "need layer_sizes[0] an int, got '2'"),
         ([True, 3, 2], "need layer_sizes[0] an int, got True"),
@@ -336,7 +336,7 @@ class TestCheckpoint:
         ("eps", "x", "need eps a real number, got 'x'"),
         ("eps", 0, "need eps > 0, got 0"),
         ("beta1", 1.0, "need beta1 in [0, 1), got 1.0"),
-        ("beta2", "0.9", "need beta2 in [0, 1), got '0.9'"),
+        ("beta2", "0.9", "need beta2 a real number, got '0.9'"),
     ], ids=["t-float", "t-negative", "lr-negative", "lr-nan", "eps-str", "eps-zero",
             "beta1-one", "beta2-str"])
     def test_bad_adam_settings_name_the_file(self, tmp_path, key, value, message):
@@ -345,6 +345,25 @@ class TestCheckpoint:
         _, path = self.saved(tmp_path)
         self.edit_meta(path, key, value, adam=True)
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
+            net.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: {**meta, "adam": [1]}, "not a pslearn checkpoint (meta: "),
+        (lambda meta: [meta], "not a pslearn checkpoint (meta: "),
+        (lambda meta: {**meta, "layer_sizes": 30}, "need layer_sizes a sequence of ints, got 30"),
+        (lambda meta: {**meta, "layer_sizes": None},
+         "need layer_sizes a sequence of ints, got None"),
+    ], ids=["adam-list", "meta-list", "sizes-int", "sizes-null"])
+    def test_meta_of_the_wrong_json_type_names_the_file(self, tmp_path, edit, message):
+        # Each failed with a TypeError that did not name the file.
+        _, path = self.saved(tmp_path)
+
+        def rewrite_meta(arrays):
+            meta = edit(json.loads(bytes(arrays["meta"]).decode("utf-8")))
+            arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+
+        self.rewrite(path, rewrite_meta)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
             net.load_checkpoint(path)
 
     def test_other_activation_rejected(self, tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pslearn.sampling import (
+    _lattice_weights,
     das_dennis,
     default_divisions,
     r2_constant,
@@ -15,6 +16,8 @@ from pslearn.sampling import (
     sample_gaussian,
     sample_lhs,
 )
+
+from conftest import lattice_reference
 
 
 class TestGaussian:
@@ -139,6 +142,14 @@ class TestDasDennis:
         np.testing.assert_allclose(
             sorted(map(tuple, dirs.directions)), sorted(map(tuple, expected)), rtol=1e-12
         )
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_lattice_matches_brute_force_in_order(self, m):
+        for h in (*range(1, 7), default_divisions(m)):
+            weights = _lattice_weights(m, h)
+            reference = lattice_reference(m, h)
+            assert weights.shape == reference.shape
+            assert np.array_equal(weights, reference), (m, h)
 
     @pytest.mark.parametrize("m,h", [(2, 4), (3, 2), (3, 13), (2, 99), (4, 5)])
     def test_count_formula(self, m, h):

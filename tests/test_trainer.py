@@ -106,7 +106,8 @@ class TestConfig:
         with pytest.raises(ValueError, match="^need seed >= 0, got -1$"):
             TrainConfig(problem="zdt3", algorithm="gpsl-g", seed=-1)
 
-    # Each entry is checked as a count, and the message names the first bad one.
+    # Each entry is checked as a count, and the message names the first bad
+    # one; a bare int is not a list of sizes.
     BAD_HIDDEN_SIZES = {
         (8.7,): "hidden_sizes[0] an int, got 8.7",
         ("8",): "hidden_sizes[0] an int, got '8'",
@@ -114,6 +115,7 @@ class TestConfig:
         (True,): "hidden_sizes[0] an int, got True",
         (16, -1): "hidden_sizes[1] >= 1, got -1",
         (16, np.float64(4.0)): "hidden_sizes[1] an int, got np.float64(4.0)",
+        64: "hidden_sizes a sequence of ints, got 64",
     }
 
     @pytest.mark.parametrize("sizes", list(BAD_HIDDEN_SIZES))
