@@ -24,6 +24,8 @@ from .sampling import _check_count
 from .trainer import (
     ALGORITHMS,
     GPSL_ALGORITHMS,
+    MetricsLog,
+    MetricsRecord,
     TrainConfig,
     TrainingDiverged,
     evaluate_model,
@@ -96,38 +98,34 @@ def _load_front(problem_name: str, front_path: str | None):
     return pareto_front(problem)
 
 
-def _run_one(task: dict) -> dict:
+@dataclasses.dataclass(frozen=True)
+class GridTask:
+    """One seed of one grid arm: what `_run_one` trains and where it writes."""
+
+    config: TrainConfig
+    label: str
+    front: str | None  # the --front path; None scores the analytic front
+    out_dir: Path
+
+
+def _run_one(task: GridTask) -> MetricsLog:
     """Train + evaluate one (problem, algorithm, seed) and write its files.
 
     Top-level so grid commands can dispatch it to worker processes.
     """
-    config = task["config"]
-    front = _load_front(config.problem, task.get("front"))
-    result = train(config, front)
-    out_dir = Path(task["out_dir"])
-    stem = task["stem"]
-
-    csv_path = out_dir / f"{stem}.csv"
-    _atomic(csv_path, lambda p: write_metrics_csv(result.metrics, p))
-
-    ckpt_path = out_dir / f"{stem}.ckpt.npz"
+    config = task.config
+    result = train(config, _load_front(config.problem, task.front))
+    stem = f"{config.problem}_{task.label}_seed{config.seed}"
+    _atomic(task.out_dir / f"{stem}.csv", lambda p: write_metrics_csv(result.metrics, p))
     # `eval` checks its --problem and --algo against the recorded ones.
     seeds = {"train_seed": config.seed, "eval_seed": config.eval_seed,
              "problem": config.problem, "algorithm": config.algorithm}
-    _atomic(ckpt_path, lambda p: net.save_checkpoint(p, result.params, result.adam_state, seeds))
-
-    final = result.metrics.final()
-    return {
-        "label": task["label"],
-        "problem": config.problem,
-        "seed": config.seed,
-        "final_log_hv_difference": final.log_hv_difference,
-        "seconds": final.seconds,
-        "rows": [(rec.iteration, rec.log_hv_difference) for rec in result.metrics.records],
-    }
+    _atomic(task.out_dir / f"{stem}.ckpt.npz",
+            lambda p: net.save_checkpoint(p, result.params, result.adam_state, seeds))
+    return result.metrics
 
 
-def _dispatch(tasks: list[dict], workers: int) -> list[dict]:
+def _dispatch(tasks: list[GridTask], workers: int) -> list[MetricsLog]:
     if workers <= 1:
         return [_run_one(task) for task in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -138,7 +136,7 @@ def _base_kwargs(settings: dict) -> dict:
     return {key: value for key, value in settings.items() if key not in CLI_KEYS}
 
 
-def _build_tasks(settings: dict, arms) -> tuple[Path, list[dict]]:
+def _build_tasks(settings: dict, arms) -> tuple[Path, list[GridTask]]:
     """The output directory and one task per seed of each (label, overrides) arm.
 
     The ``TrainConfig`` overrides name the problem and the algorithm and take
@@ -151,19 +149,14 @@ def _build_tasks(settings: dict, arms) -> tuple[Path, list[dict]]:
     base = _base_kwargs(settings)
     out_dir = Path(settings.get("out") or os.environ.get(OUTPUT_ROOT_ENV) or "runs")
     tasks = [
-        {
-            "config": TrainConfig(**{**base, **overrides, "seed": seed}),
-            "front": settings.get("front"),
-            "out_dir": str(out_dir),
-            "stem": f"{overrides['problem']}_{label}_seed{seed}",
-            "label": label,
-        }
+        GridTask(TrainConfig(**{**base, **overrides, "seed": seed}), label,
+                 settings.get("front"), out_dir)
         for label, overrides in arms
         for seed in range(seeds)
     ]
     for task in tasks:
-        task["config"].resolved_latent_dim(get_problem(task["config"].problem))
-        _load_front(task["config"].problem, task["front"])
+        task.config.resolved_latent_dim(get_problem(task.config.problem))
+        _load_front(task.config.problem, task.front)
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir, tasks
 
@@ -175,30 +168,31 @@ def _collect_settings(args) -> dict:
     return settings
 
 
-def _write_long_csv(path: Path, results: list[dict]) -> None:
+def _write_long_csv(path: Path, tasks: list[GridTask], logs: list[MetricsLog]) -> None:
     lines = ["problem,algorithm,seed,iteration,log_hv_difference"]
-    for res in results:
-        prefix = f"{res['problem']},{res['label']},{res['seed']}"
-        for iteration, value in res["rows"]:
-            lines.append(f"{prefix},{iteration},{value!r}")
+    for task, log in zip(tasks, logs):
+        prefix = f"{task.config.problem},{task.label},{task.config.seed}"
+        for rec in log.records:
+            lines.append(f"{prefix},{rec.iteration},{rec.log_hv_difference!r}")
     _atomic(path, "\n".join(lines) + "\n")
 
 
-def _summarize(results: list[dict]) -> dict:
-    groups: dict[tuple[str, str], list[dict]] = {}
-    for res in results:
-        groups.setdefault((res["problem"], res["label"]), []).append(res)
+def _summarize(tasks: list[GridTask], logs: list[MetricsLog]) -> dict:
+    groups: dict[tuple[str, str], dict[str, MetricsRecord]] = {}
+    for task, log in zip(tasks, logs):
+        arm = groups.setdefault((task.config.problem, task.label), {})
+        arm[str(task.config.seed)] = log.final()
     summary: dict = {}
-    for (problem, label), runs in sorted(groups.items()):
-        finals = [r["final_log_hv_difference"] for r in runs]
-        q1, _, q3 = statistics.quantiles(finals, n=4) if len(runs) > 1 else (0.0,) * 3
+    for (problem, label), finals in sorted(groups.items()):
+        values = [final.log_hv_difference for final in finals.values()]
+        q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (0.0,) * 3
         summary.setdefault(problem, []).append(
             {
                 "algorithm": label,
-                "median_final_log_hv_difference": statistics.median(finals),
+                "median_final_log_hv_difference": statistics.median(values),
                 "iqr_final_log_hv_difference": q3 - q1,
-                "per_seed": {str(r["seed"]): r["final_log_hv_difference"] for r in runs},
-                "seconds": {str(r["seed"]): r["seconds"] for r in runs},
+                "per_seed": {seed: final.log_hv_difference for seed, final in finals.items()},
+                "seconds": {seed: final.seconds for seed, final in finals.items()},
             }
         )
     for problem in summary:
@@ -209,11 +203,11 @@ def _summarize(results: list[dict]) -> dict:
 def _grid(settings: dict, arms, workers: int, name: str) -> int:
     """Run every arm over the seeds; write ``<name>.csv`` and its summary."""
     out_dir, tasks = _build_tasks(settings, arms)
-    results = _dispatch(tasks, workers)
-    _write_long_csv(out_dir / f"{name}.csv", results)
-    summary = _summarize(results)
+    logs = _dispatch(tasks, workers)
+    _write_long_csv(out_dir / f"{name}.csv", tasks, logs)
+    summary = _summarize(tasks, logs)
     _atomic(out_dir / f"{name}_summary.json", json.dumps(summary, indent=2) + "\n")
-    print(f"wrote {out_dir / f'{name}.csv'} ({len(results)} runs)")
+    print(f"wrote {out_dir / f'{name}.csv'} ({len(logs)} runs)")
     for problem, rows in summary.items():
         for row in rows:
             print(f"{problem} {row['algorithm']}: median final log HV difference: "
@@ -310,10 +304,7 @@ def cmd_eval(parser, args) -> int:
         "algorithm": algorithm,
         "checkpoint": str(args.checkpoint),
         "checkpoint_seeds": seeds,
-        "hv_true": report.hv_true,
-        "hv_learned": report.hv_learned,
-        "log_hv_difference": report.log_hv_difference,
-        "epsilon_log": report.epsilon_log,
+        **dataclasses.asdict(report),
     }
     text = json.dumps(payload, indent=2)
     if settings.get("out"):

@@ -142,8 +142,9 @@ def finite_difference_jacobian(problem: Problem, xs, rel_step: float = 1e-6) -> 
     """Central-difference Jacobians (n, m, d) of the decision vectors (n, d).
 
     The step is rel_step * (ub - lb); a coordinate too close to a bound for
-    the centered stencil gets a one-sided difference. All 2 n d probe
-    points go through one :meth:`Problem.evaluate_batch` call.
+    the centered stencil gets a one-sided difference; a step too small to
+    move some coordinate at all is a ``ValueError``. All 2 n d probe points
+    go through one :meth:`Problem.evaluate_batch` call.
     """
     _check_real("rel_step", rel_step)
     xs = problem._checked_batch(np.asarray(xs, dtype=float))
@@ -151,6 +152,8 @@ def finite_difference_jacobian(problem: Problem, xs, rel_step: float = 1e-6) -> 
     h = rel_step * (problem.ub - problem.lb)
     lo = np.maximum(xs - h, problem.lb)
     hi = np.minimum(xs + h, problem.ub)
+    if np.any(hi == lo):
+        raise ValueError(f"need rel_step large enough to move every coordinate, got {rel_step!r}")
     moved = np.eye(d, dtype=bool)  # probe j moves coordinate j only
     probes = np.concatenate(
         [np.where(moved, hi[:, None, :], xs[:, None, :]),

@@ -162,6 +162,15 @@ class TestCompare:
         assert main([*base, "--out", str(par), "--workers", "2"]) == 0
         assert (seq / "compare.csv").read_bytes() == (par / "compare.csv").read_bytes()
 
+        # Each run's MetricsLog crosses the process pool as the run's outcome.
+        def summary(path):
+            rows = json.loads((path / "compare_summary.json").read_text())["zdt3"]
+            for row in rows:
+                del row["seconds"]  # wall clock
+            return rows
+
+        assert summary(seq) == summary(par)
+
     def test_aborted_grid_keeps_completed_run_files_valid(self, tmp_path, capsys):
         # At this learning rate and these settings psl-tch seed 0 finishes and
         # then gpsl-g seed 0 diverges at iteration 8, which ends the grid; the

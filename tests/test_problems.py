@@ -3,6 +3,7 @@ against a finite-difference oracle, front generation, and reference-front
 file parsing."""
 
 import re
+import warnings
 import zlib
 
 import numpy as np
@@ -155,6 +156,19 @@ class TestJacobian:
         for jacobian in (toy.jacobian, lambda x: finite_difference_jacobian(toy, x)):
             with pytest.raises(ValueError, match=r"expected an \(n, 2\) array"):
                 jacobian(x)
+
+    @pytest.mark.parametrize("rel_step", [1e-300, 1e-17])
+    @pytest.mark.parametrize("rest", [0.5, 0.0], ids=["every-coordinate", "one-coordinate"])
+    def test_step_that_moves_no_coordinate_names_rel_step(self, rel_step, rest):
+        # x + h == x at 0.5 for these steps, so the stencil would divide 0 by 0;
+        # at 0.0 the step still moves x, so the second case stalls x1 only.
+        x = np.full((1, 30), rest)
+        x[0, 0] = 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^need rel_step large enough to move every "
+                                                 rf"coordinate, got {rel_step!r}$"):
+                finite_difference_jacobian(get_problem("zdt3"), x, rel_step=rel_step)
 
 
 class TestFronts:
