@@ -23,13 +23,14 @@ with large-magnitude bounds) and is part of the model, not of the sampler.
 Layer sizes, two or more ints >= 1, are checked in :class:`NetworkParams`,
 which :func:`init_network` and :func:`load_checkpoint` both go through.
 
-Evaluation maps its batch through the private ``_predict``: the same layer
-chain and bits as :func:`forward`, without a cache, written into views of
-one float64 vector per thread. The vector grows to the largest score the
-thread has made and is kept, so scoring any model, of any layer sizes,
-after that allocates no (n, width) arrays: every evaluation row of a run
-and repeat ``evaluate_model`` calls reuse it, while ``pslearn eval``'s
-single call allocates as before.
+One private layer chain serves training and scoring: it writes every
+layer, the sigmoid and ``x`` into (n, width) views of one float64 vector.
+:func:`forward` gives it a fresh vector and returns the cache with ``x``.
+Evaluation's private ``_predict`` gives it the calling thread's vector,
+which grows to the largest score the thread has made and is kept, so
+scoring any model, of any layer sizes, after that allocates no (n, width)
+arrays: every evaluation row of a run and repeat ``evaluate_model`` calls
+reuse it, while ``pslearn eval``'s single call allocates as before.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list[np.ndarray], list[
     return weights, biases
 
 
-@dataclass
+@dataclass(eq=False)
 class NetworkParams:
     """Weights and biases of the transformation model.
 
@@ -139,7 +140,7 @@ class NetworkParams:
         return len(self.weights)
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
     """First/second moment accumulators and hyperparameters of Adam.
 
@@ -195,10 +196,10 @@ def init_network(
 
 
 def _sigmoid(z: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """The logistic function of ``z``, written into ``out`` (not ``z``).
+    """The logistic function of ``z``, written into ``out``.
 
-    ``scratch`` receives ``1 + exp(-|z|)``; it may be ``z`` itself when the
-    caller no longer needs ``z``. Either one defaults to a fresh array.
+    ``scratch`` receives ``1 + exp(-|z|)``. Either one may be ``z`` itself
+    when the caller no longer needs ``z``, and defaults to a fresh array.
     """
     # e = exp(-|z|) is exactly exp(-z) where z >= 0 and exp(z) elsewhere, and
     # never overflows, so sigmoid(z) is 1 / (1 + e) where z >= 0 and
@@ -224,20 +225,32 @@ def _inputs(params: NetworkParams, v, lb, ub):
     return v, np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
 
 
-def _layers(params: NetworkParams, v: np.ndarray, out) -> None:
-    """Write layer l of the batch ``v`` into ``out[l]``, shape (n, layer_sizes[l]).
+def _chain(params: NetworkParams, v, lb, ub, vector_of):
+    """``(x, cache)`` of the batch ``v``: every layer, then ``x``, written into
+    (n, width) views of ``vector_of(n * (sum(layer_sizes) + layer_sizes[-1]))``.
 
-    ``out[0]`` is the standardised input; the last entry is the output
-    layer before the sigmoid.
+    The first view is the standardised input; the output layer's view is
+    overwritten by its sigmoid, which the cache holds for :func:`backward`.
     """
-    np.subtract(v, params.input_offset, out=out[0])
-    np.divide(out[0], params.input_scale, out=out[0])
+    v, lb, ub = _inputs(params, v, lb, ub)
+    n, sizes = len(v), params.layer_sizes
+    widths = (*sizes, sizes[-1])
+    vector = vector_of(n * sum(widths))
+    *layers, x = (vector[n * start : n * end].reshape(n, end - start)
+                  for start, end in pairwise(accumulate(widths, initial=0)))
+    np.subtract(v, params.input_offset, out=layers[0])
+    np.divide(layers[0], params.input_scale, out=layers[0])
     n_layers = params.n_layers()
     for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = np.matmul(out[layer], w.T, out=out[layer + 1])
+        z = np.matmul(layers[layer], w.T, out=layers[layer + 1])
         z += b
         if layer < n_layers - 1:
             np.maximum(z, 0.0, out=z)
+    sig = _sigmoid(z, out=z, scratch=x)
+    span = ub - lb
+    np.multiply(sig, span, out=x)
+    np.add(lb, x, out=x)
+    return x, {"activations": layers[:-1], "sigmoid": sig, "span": span}
 
 
 def forward(params: NetworkParams, v, lb, ub):
@@ -247,14 +260,7 @@ def forward(params: NetworkParams, v, lb, ub):
     Each output row depends only on its own input row. Returns
     ``(x, cache)`` where the cache holds everything :func:`backward` needs.
     """
-    v, lb, ub = _inputs(params, v, lb, ub)
-    activations = [np.empty((len(v), size)) for size in params.layer_sizes]
-    _layers(params, v, activations)
-    sig = _sigmoid(activations[-1])
-    span = ub - lb
-    x = sig * span
-    np.add(lb, x, out=x)
-    return x, {"activations": activations, "sigmoid": sig, "span": span}
+    return _chain(params, v, lb, ub, np.empty)
 
 
 # The calling thread's scoring vector for _predict: one float64 vector,
@@ -262,31 +268,23 @@ def forward(params: NetworkParams, v, lb, ub):
 _pool = threading.local()
 
 
-def _predict(params: NetworkParams, v, lb, ub) -> np.ndarray:
-    """The ``x`` of :func:`forward`, bit for bit, without a cache.
-
-    Every layer and the output are (n, width) views carved from the calling
-    thread's vector, which grows only when a call needs more floats,
-    ``n * (sum(layer_sizes) + layer_sizes[-1])``, than it holds, so scoring
-    no larger than the largest score so far allocates no (n, width) arrays,
-    whatever the model. The returned array is one of the views: it is valid
-    until this thread's next call.
-    """
-    v, lb, ub = _inputs(params, v, lb, ub)
-    n, sizes = len(v), params.layer_sizes
-    widths = (*sizes, sizes[-1])
-    need = n * sum(widths)
+def _pooled(need: int) -> np.ndarray:
+    """The calling thread's vector, grown first to ``need`` floats if shorter."""
     vector = getattr(_pool, "vector", None)
     if vector is None or vector.size < need:
         _pool.vector = vector = None  # drop the old vector before allocating
         _pool.vector = vector = np.empty(need)
-    *layers, x = (vector[n * start : n * end].reshape(n, end - start)
-                  for start, end in pairwise(accumulate(widths, initial=0)))
-    _layers(params, v, layers)
-    # The output layer is not needed after the sigmoid: it takes 1 + exp(-|z|).
-    _sigmoid(layers[-1], out=x, scratch=layers[-1])
-    np.multiply(x, ub - lb, out=x)
-    return np.add(lb, x, out=x)
+    return vector
+
+
+def _predict(params: NetworkParams, v, lb, ub) -> np.ndarray:
+    """The ``x`` of :func:`forward`, bit for bit, in the calling thread's vector.
+
+    Scoring no larger than the largest score so far allocates no (n, width)
+    arrays, whatever the model. The returned array is a view of the vector:
+    it is valid until this thread's next call.
+    """
+    return _chain(params, v, lb, ub, _pooled)[0]
 
 
 def backward(params: NetworkParams, cache, upstream):

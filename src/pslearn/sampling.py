@@ -37,7 +37,7 @@ __all__ = [
 ZERO_CLAMP = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionSet:
     """Unit-norm, strictly positive direction vectors with their volume constant."""
 

@@ -161,6 +161,34 @@ def exact_hv_3d_reference(pts: np.ndarray, r: np.ndarray):
     return hv_3d_reference(inside, r) if len(inside) else 0.0
 
 
+def masked_sigmoid(z):
+    """The output sigmoid as the package computed it before, branch by mask."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def forward_reference(params, v, lb, ub):
+    """The training forward pass as the package computed it before training
+    and scoring shared one layer chain: a fresh array per layer, the same
+    operations in the same order, and the masked sigmoid. Returns ``x`` and
+    the cache, whose activations stop before the output layer."""
+    v = np.asarray(v, dtype=float)
+    activations = [(v - params.input_offset) / params.input_scale]
+    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = np.matmul(activations[-1], w.T)
+        z += b
+        activations.append(np.maximum(z, 0.0) if layer < params.n_layers() - 1 else z)
+    sig = masked_sigmoid(activations.pop())
+    span = np.asarray(ub, dtype=float) - np.asarray(lb, dtype=float)
+    x = sig * span
+    np.add(lb, x, out=x)
+    return x, {"activations": activations, "sigmoid": sig, "span": span}
+
+
 def central_difference_gradient(fn, x, eps: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of a scalar function of a vector."""
     x = np.asarray(x, dtype=float)

@@ -1,11 +1,12 @@
-"""Property tests of the network: the output sigmoid against the masked form
-kept here as the oracle, the pooled evaluation forward against
-:func:`forward`, the flat gradient of :func:`backward` against a per-layer
+"""Property tests of the network: the output sigmoid, written fresh or over its
+input, against the masked form, the training :func:`forward` and the pooled
+evaluation forward against the per-layer forward that ``conftest`` keeps as
+the oracle, the flat gradient of :func:`backward` against a per-layer
 backward kept here as the oracle, and the flat-vector Adam update: several
-steps, in place, against a per-layer Adam kept here as the oracle, the
-layer named by a non-finite gradient, which changes nothing, exact
-checkpoint round-trips of the three flat arrays, and copies whose layers
-stay views of their own vector."""
+steps, in place, against a per-layer Adam kept here as the oracle, the layer
+named by a non-finite gradient, which changes nothing, exact checkpoint
+round-trips of the three flat arrays, and copies whose layers stay views of
+their own vector."""
 
 import copy
 import math
@@ -22,22 +23,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import forward_reference, masked_sigmoid
 from pslearn import network as net
 from pslearn.problems import get_problem, pareto_front
 from pslearn.trainer import TrainConfig, TrainingDiverged, _train_loop
 
 # Zeros and repeated values alongside general floats.
 _GRAD = st.one_of(st.sampled_from([0.0, -1.0, 1e-3]), st.floats(-1e3, 1e3))
-
-
-def masked_sigmoid(z):
-    """The output sigmoid as the package computed it before, branch by mask."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 _EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 745.2, -745.2,
@@ -50,39 +42,63 @@ _EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 745.2, -745.2,
                 elements=st.one_of(st.sampled_from(_EDGES),
                                    st.floats(allow_nan=True, allow_infinity=True))))
 def test_sigmoid_bits_equal_masked_oracle(z):
-    got, want = net._sigmoid(z), masked_sigmoid(z)
+    want, fresh, in_place = masked_sigmoid(z), net._sigmoid(z), z.copy()
+    assert net._sigmoid(in_place, out=in_place, scratch=np.empty_like(z)) is in_place
     # A NaN input gives NaN on both sides; only its sign bit may differ.
     nan = np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    for got in (fresh, in_place):
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
-@settings(max_examples=150, deadline=None)
-@given(sizes=st.lists(st.integers(1, 70), min_size=2, max_size=4).map(tuple),
-       n=st.integers(1, 1200), seed=st.integers(0, 2**16),
-       offset=st.floats(-1e3, 1e3), scale=st.floats(1e-3, 1e3),
-       lb=st.floats(-1e6, 1e6), span=st.floats(1e-6, 1e8),
-       gain=st.sampled_from([1.0, 1e2, 1e4]),
-       other_sizes=st.lists(st.integers(1, 70), min_size=2, max_size=4).map(tuple),
-       other_n=st.integers(1, 1200))
-def test_predict_bits_equal_forward(sizes, n, seed, offset, scale, lb, span, gain,
-                                    other_sizes, other_n):
+def bits_equal(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64),
+                                                      want.view(np.uint64))
+
+
+# A model, a batch and bounds: large gains saturate the output sigmoid.
+_MODEL = dict(sizes=st.lists(st.integers(1, 70), min_size=2, max_size=4).map(tuple),
+              n=st.integers(1, 1200), seed=st.integers(0, 2**16),
+              offset=st.floats(-1e3, 1e3), scale=st.floats(1e-3, 1e3),
+              lb=st.floats(-1e6, 1e6), span=st.floats(1e-6, 1e8),
+              gain=st.sampled_from([1.0, 1e2, 1e4]))
+
+
+def drawn_model(sizes, n, seed, offset, scale, lb, span, gain):
     rng = np.random.default_rng(seed)
-    # Score another model first, so this thread's vector holds another layout.
-    other = net.init_network(other_sizes, seed + 1)
-    net._predict(other, rng.normal(size=(other_n, other_sizes[0])),
-                 np.zeros(other_sizes[-1]), np.ones(other_sizes[-1]))
     k, d = sizes[0], sizes[-1]
     params = net.init_network(sizes, seed, input_offset=offset + rng.normal(size=k),
                               input_scale=scale * rng.uniform(0.5, 2.0, size=k))
-    params.flat *= gain  # large gains saturate the output sigmoid
+    params.flat *= gain
     v = offset + scale * rng.normal(size=(n, k))
     lbs = lb + rng.uniform(-1.0, 1.0, size=d)
-    ubs = lbs + span * rng.uniform(0.5, 1.0, size=d)
-    want, _ = net.forward(params, v, lbs, ubs)
-    got = net._predict(params, v, lbs, ubs)
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    return params, v, lbs, lbs + span * rng.uniform(0.5, 1.0, size=d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_MODEL)
+def test_forward_bits_equal_oracle(**model):
+    params, v, lbs, ubs = drawn_model(**model)
+    got, cache = net.forward(params, v, lbs, ubs)
+    want, oracle = forward_reference(params, v, lbs, ubs)
+    assert bits_equal(got, want)
+    assert bits_equal(cache["sigmoid"], oracle["sigmoid"])
+    assert len(cache["activations"]) == len(params.layer_sizes) - 1
+    assert all(bits_equal(a, b) for a, b in zip(cache["activations"], oracle["activations"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_MODEL,
+       other_sizes=st.lists(st.integers(1, 70), min_size=2, max_size=4).map(tuple),
+       other_n=st.integers(1, 1200))
+def test_predict_bits_equal_forward(other_sizes, other_n, **model):
+    # Score another model first, so this thread's vector holds another layout.
+    rng = np.random.default_rng(model["seed"] + 1)
+    other = net.init_network(other_sizes, model["seed"] + 1)
+    net._predict(other, rng.normal(size=(other_n, other_sizes[0])),
+                 np.zeros(other_sizes[-1]), np.ones(other_sizes[-1]))
+    params, v, lbs, ubs = drawn_model(**model)
+    assert bits_equal(net._predict(params, v, lbs, ubs), forward_reference(params, v, lbs, ubs)[0])
 
 
 def per_layer_backward(params, cache, upstream):

@@ -196,6 +196,11 @@ class TestFronts:
         assert front.points[:, 2].min() >= 2.0  # f3 >= ~2.6 on the optimal surface
         assert front.points[:, 2].max() <= 6.0
 
+    @pytest.mark.parametrize("name, size", [("zdt3", 800), ("dtlz5", 1000), ("dtlz7", 484)])
+    def test_default_front_sizes_are_the_readme_counts(self, name, size):
+        # README's table of HV floors quotes these sizes of pareto_front(name).
+        assert len(pareto_front(name).points) == size
+
     def test_points_are_a_read_only_copy(self):
         source = np.array([[0.0, 1.0], [1.0, 0.0]])
         front = ParetoFrontData(points=source, source="file")
