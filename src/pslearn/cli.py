@@ -88,6 +88,11 @@ def _atomic(path: Path, content) -> None:
     os.replace(tmp, path)
 
 
+# The settings a CLI checkpoint records beside its training seed: `eval`
+# takes each as its default and rejects a value that contradicts it.
+RECORDED = ("eval_seed", "problem", "algorithm", "dirichlet_alpha")
+
+
 @functools.lru_cache(maxsize=None)
 def _load_front(problem_name: str, front_path: str | None):
     # Once per process: the serial tasks of a grid share one front, and so
@@ -117,9 +122,7 @@ def _run_one(task: GridTask) -> MetricsLog:
     result = train(config, _load_front(config.problem, task.front))
     stem = f"{config.problem}_{task.label}_seed{config.seed}"
     _atomic(task.out_dir / f"{stem}.csv", lambda p: write_metrics_csv(result.metrics, p))
-    # `eval` checks its --problem and --algo against the recorded ones.
-    seeds = {"train_seed": config.seed, "eval_seed": config.eval_seed,
-             "problem": config.problem, "algorithm": config.algorithm}
+    seeds = {"train_seed": config.seed, **{key: getattr(config, key) for key in RECORDED}}
     _atomic(task.out_dir / f"{stem}.ckpt.npz",
             lambda p: net.save_checkpoint(p, result.params, result.adam_state, seeds))
     return result.metrics
@@ -142,7 +145,7 @@ def _build_tasks(settings: dict, arms) -> tuple[Path, list[GridTask]]:
     The ``TrainConfig`` overrides name the problem and the algorithm and take
     precedence over the shared settings. The directory is made only once
     every task's ``TrainConfig`` has passed its checks, its latent
-    dimension included, and every problem's reference front has loaded.
+    sampler included, and every problem's reference front has loaded.
     """
     seeds = settings.get("seeds", 11)
     _check_count("seeds", seeds)
@@ -155,7 +158,7 @@ def _build_tasks(settings: dict, arms) -> tuple[Path, list[GridTask]]:
         for seed in range(seeds)
     ]
     for task in tasks:
-        task.config.resolved_latent_dim(get_problem(task.config.problem))
+        latent_sampler(task.config, get_problem(task.config.problem))
         _load_front(task.config.problem, task.front)
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir, tasks
@@ -276,23 +279,22 @@ def cmd_ablate(parser, args) -> int:
 
 
 def cmd_eval(parser, args) -> int:
-    settings = _collect_settings(args)
-    problem_name = settings.get("problem")
-    algorithm = settings.get("algorithm")
-    if not problem_name or not algorithm:
-        parser.error("eval requires --problem and --algo")
     params, _, seeds = net.load_checkpoint(args.checkpoint)
-    # Checkpoints from before the record, or from outside the CLI, lack it;
-    # the latent dimension is always the network's input width.
-    trained = {**(seeds if isinstance(seeds, dict) else {}), "latent_dim": params.layer_sizes[0]}
-    settings.setdefault("latent_dim", trained["latent_dim"])
-    problem = get_problem(problem_name)
+    # Checkpoints from before the record, or from outside the CLI, lack some
+    # or all of it; the latent dimension is always the network's input width.
+    trained = {key: seeds[key] for key in RECORDED if isinstance(seeds, dict) and key in seeds}
+    trained["latent_dim"] = params.layer_sizes[0]
+    settings = {**trained, **_collect_settings(args)}
+    if not settings.get("problem") or not settings.get("algorithm"):
+        parser.error("eval requires --problem and --algo when the checkpoint does not record them")
+    # Unknown names are rejected first, with the valid ones listed.
+    problem = get_problem(settings["problem"])
     config = TrainConfig(**_base_kwargs(settings))
-    for key in ("problem", "algorithm", "latent_dim"):
-        if trained.get(key, settings[key]) != settings[key]:
-            raise ValueError(f"{args.checkpoint}: trained with {key} {trained[key]!r}, "
+    for key, value in trained.items():
+        if settings[key] != value:
+            raise ValueError(f"{args.checkpoint}: trained with {key} {value!r}, "
                              f"not {settings[key]!r}")
-    front = _load_front(problem_name, settings.get("front"))
+    front = _load_front(config.problem, settings.get("front"))
     draw, _, _ = latent_sampler(config, problem)
     report = evaluate_model(
         params, problem, draw, front,
@@ -300,8 +302,8 @@ def cmd_eval(parser, args) -> int:
         ref_offset=config.ref_offset,
     )
     payload = {
-        "problem": problem_name,
-        "algorithm": algorithm,
+        "problem": config.problem,
+        "algorithm": config.algorithm,
         "checkpoint": str(args.checkpoint),
         "checkpoint_seeds": seeds,
         **dataclasses.asdict(report),

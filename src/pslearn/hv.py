@@ -258,11 +258,16 @@ def _ratio_tensor(points, ref, dirs: DirectionSet) -> np.ndarray:
     axis (m = 2 or 3) one row at a time, but a leading one as m whole-array
     passes. Division, ``min`` and ``argmin`` are exact and ``argmin`` keeps
     the lowest index on ties, so the layout does not change any value.
+    Points, reference point and directions must agree on the objective count.
     """
     pts = _as_points(points)
     if len(pts) == 0:
         raise ValueError("the R2 hypervolume approximation requires a non-empty point set")
     r = np.asarray(ref, dtype=float).reshape(-1)
+    if not pts.shape[1] == r.size == dirs.m:
+        other, count = (("reference point", r.size) if r.size != pts.shape[1]
+                        else ("direction set", dirs.m))
+        raise ValueError(f"points have {pts.shape[1]} objectives but {other} has {count}")
     lam = np.ascontiguousarray(dirs.directions.T)  # (m, D)
     return (r[:, None] - pts.T)[:, :, None] / lam[:, None, :]
 

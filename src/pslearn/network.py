@@ -318,21 +318,11 @@ def backward(params: NetworkParams, cache, upstream):
     return grad
 
 
-def init_adam(
-    params: NetworkParams,
-    learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
-    return AdamState(
-        m=np.zeros_like(params.flat),
-        v=np.zeros_like(params.flat),
-        learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-    )
+def init_adam(params: NetworkParams, **settings) -> AdamState:
+    """A fresh :class:`AdamState` with zero moments laid out like
+    ``params.flat``; ``settings`` (``learning_rate``, ``beta1``, ``beta2``,
+    ``eps``) replace its defaults."""
+    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), **settings)
 
 
 def adam_step(params: NetworkParams, grad, state: AdamState) -> None:

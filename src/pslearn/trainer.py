@@ -89,12 +89,12 @@ class TrainConfig:
     algorithm: str
     iterations: int = 1000
     batch_size: int = 32
-    latent_dim: int | None = None  # None: d for gpsl-g/l, m otherwise
+    latent_dim: int | None = None  # None: see latent_sampler
     seed: int = 0
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
+    learning_rate: float = net.AdamState.learning_rate
+    beta1: float = net.AdamState.beta1
+    beta2: float = net.AdamState.beta2
+    eps_adam: float = net.AdamState.eps
     hidden_sizes: tuple[int, ...] = (64, 64)
     directions_h: int | None = None  # None: ~100 directions for the problem's m
     eval_samples: int = 1000
@@ -122,17 +122,6 @@ class TrainConfig:
         for key, high in (("beta1", 1.0), ("beta2", 1.0), ("tch_epsilon", math.inf),
                           ("cosmos_gamma", math.inf)):
             _check_real(key, getattr(self, key), 0.0, high, open_low=False)
-
-    def resolved_latent_dim(self, problem: Problem) -> int:
-        if self.algorithm in ("gpsl-g", "gpsl-l"):
-            return self.latent_dim if self.latent_dim is not None else problem.d
-        # Dirichlet-input algorithms sample from the objective-space simplex.
-        if self.latent_dim is not None and self.latent_dim != problem.m:
-            raise ValueError(
-                f"{self.algorithm} samples the {problem.m}-simplex; latent_dim "
-                f"{self.latent_dim} is not configurable"
-            )
-        return problem.m
 
 
 @dataclass(frozen=True)
@@ -210,9 +199,20 @@ def latent_sampler(config: TrainConfig, problem: Problem):
     """Build the initial-distribution sampler for the configured algorithm.
 
     Returns ``draw(n, seed)`` producing an (n, k) array, plus the input
-    standardisation (offset, scale) the network should apply.
+    standardisation (offset, scale) the network should apply. The one
+    place that sets the latent dimension k: gpsl-g and gpsl-l take
+    ``config.latent_dim``, or ``problem.d`` when it is unset; every other
+    algorithm samples the m-simplex, so a ``latent_dim`` other than m
+    raises ``ValueError``.
     """
-    k = config.resolved_latent_dim(problem)
+    k = config.latent_dim
+    if config.algorithm in ("gpsl-g", "gpsl-l"):
+        k = problem.d if k is None else k
+    elif k is None or k == problem.m:
+        k = problem.m
+    else:
+        raise ValueError(f"{config.algorithm} samples the {problem.m}-simplex; "
+                         f"latent_dim {k} is not configurable")
     if config.algorithm == "gpsl-g":
         # Sampling center is the box midpoint when the latent space matches
         # the decision space; reduced-dimension ablations use a standard normal.

@@ -363,6 +363,36 @@ class TestEval:
         final_row = (out / "zdt3_gpsl-g_seed0.csv").read_text().strip().splitlines()[-1]
         assert payload["log_hv_difference"] == float(final_row.split(",")[-1])
 
+    def test_settings_default_to_the_checkpoints_record(self, tmp_path, capsys):
+        # The record once lacked dirichlet_alpha, so eval scored a gpsl-d
+        # model trained on Dirichlet(0.3) latents on Dirichlet(1) ones.
+        cfg = tmp_path / "alpha.cfg"
+        cfg.write_text("dirichlet_alpha = 0.3\n")
+        out = tmp_path / "out"
+        assert main(["run", "--problem", "dtlz5", "--algo", "gpsl-d", "--seeds", "1",
+                     "--config", str(cfg), "--out", str(out), *FAST]) == 0
+        capsys.readouterr()
+        ckpt = out / "dtlz5_gpsl-d_seed0.ckpt.npz"
+        final_row = (out / "dtlz5_gpsl-d_seed0.csv").read_text().strip().splitlines()[-1]
+        for flags in (["--problem", "dtlz5", "--algo", "gpsl-d"], []):
+            assert main(["eval", "--checkpoint", str(ckpt), "--eval-n", "40", *flags]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert (payload["problem"], payload["algorithm"]) == ("dtlz5", "gpsl-d")
+            assert payload["log_hv_difference"] == float(final_row.split(",")[-1])
+        cfg.write_text("dirichlet_alpha = 0.5\n")
+        assert main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: trained with dirichlet_alpha 0.3, not 0.5\n")
+
+    def test_checkpoint_without_record_needs_problem_and_algo(self, tmp_path, capsys):
+        params = net.init_network((30, 4, 30), seed=0)
+        path = tmp_path / "plain.ckpt.npz"
+        net.save_checkpoint(path, params, net.init_adam(params), {"train_seed": 0})
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--checkpoint", str(path), "--problem", "zdt3"])
+        assert err.value.code == 2
+        assert "eval requires --problem and --algo" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seeds", [{"train_seed": 0}, [0, 1]], ids=["dict", "list"])
     def test_checkpoint_without_record_evaluates_as_given(self, tmp_path, capsys, seeds):
         # Checkpoints written outside the CLI carry only what their writer

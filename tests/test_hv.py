@@ -157,6 +157,18 @@ class TestR2Subgradient:
                                              "a non-empty point set$"):
             fn(np.empty((0, 2)), [1, 1], diag_direction_set())
 
+    @pytest.mark.parametrize("fn", [r2_hv_approx, r2_hv_subgradient], ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("columns, m, message", [
+        (1, 2, "points have 1 objectives but reference point has 2"),
+        (2, 3, "points have 2 objectives but direction set has 3"),
+    ], ids=["ref", "dirs"])
+    def test_objective_count_mismatch_rejected(self, fn, columns, m, message):
+        # One-objective points broadcast against two-objective directions and
+        # gave a value; three-objective directions failed inside numpy.
+        pts = np.array([[0.2, 0.5], [0.6, 0.1]])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fn(pts[:, :columns], [1.1, 1.1], das_dennis(m, 5))
+
     def test_single_point_tie_broken_to_first_coordinate(self):
         grad = r2_hv_subgradient([[0.0, 0.0]], [1.0, 1.0], diag_direction_set())
         np.testing.assert_allclose(grad, [[-math.pi, 0.0]], rtol=1e-12)

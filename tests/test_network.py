@@ -10,6 +10,7 @@ import pytest
 
 from pslearn import network as net
 from pslearn.problems import get_problem
+from pslearn.trainer import TrainConfig
 
 from conftest import central_difference_gradient
 
@@ -179,6 +180,20 @@ def layered(params, w_fill, b_fill):
 
 
 class TestAdam:
+    def test_defaults_are_stated_once_in_adam_state(self):
+        # init_adam passes on only the settings it is given, and TrainConfig
+        # reads its four Adam defaults from AdamState.
+        defaults = {"learning_rate": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+        params = small_net()
+        state = net.init_adam(params)
+        assert {key: getattr(state, key) for key in defaults} == defaults
+        assert {key: getattr(net.AdamState, key) for key in defaults} == defaults
+        assert state.t == 0 and not state.m.any() and not state.v.any()
+        tuned = net.init_adam(params, beta1=0.8)
+        assert {key: getattr(tuned, key) for key in defaults} == {**defaults, "beta1": 0.8}
+        cfg = TrainConfig(problem="zdt3", algorithm="gpsl-g")
+        assert (cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps_adam) == tuple(defaults.values())
+
     def test_zero_gradient_keeps_params(self):
         params = small_net(seed=9)
         before = copy.deepcopy(params)

@@ -95,11 +95,15 @@ class TestConfig:
             TrainConfig(problem="zdt3", algorithm="nope")
 
     def test_latent_dim_defaults(self):
+        # The width is the length of the input standardisation.
         zdt3 = get_problem("zdt3")
-        assert TrainConfig(problem="zdt3", algorithm="gpsl-g").resolved_latent_dim(zdt3) == 30
-        assert TrainConfig(problem="zdt3", algorithm="gpsl-g", latent_dim=2).resolved_latent_dim(zdt3) == 2
-        assert TrainConfig(problem="zdt3", algorithm="gpsl-d").resolved_latent_dim(zdt3) == 2
-        assert TrainConfig(problem="zdt3", algorithm="psl-tch").resolved_latent_dim(zdt3) == 2
+        for algorithm, latent_dim, width in [
+                ("gpsl-g", None, 30), ("gpsl-g", 2, 2), ("gpsl-l", None, 30), ("gpsl-l", 5, 5),
+                ("gpsl-d", None, 2), ("gpsl-d", 2, 2), ("psl-tch", None, 2)]:
+            cfg = TrainConfig(problem="zdt3", algorithm=algorithm, latent_dim=latent_dim)
+            draw, offset, scale = latent_sampler(cfg, zdt3)
+            assert len(offset) == len(scale) == width
+            assert draw(3, 0).shape == (3, width)
 
     def test_negative_seed_names_its_key(self):
         # numpy's seeding would reject it later without naming the key.
@@ -130,8 +134,9 @@ class TestConfig:
 
     def test_dirichlet_latent_dim_not_configurable(self):
         cfg = TrainConfig(problem="zdt3", algorithm="psl-ls", latent_dim=5)
-        with pytest.raises(ValueError, match="simplex"):
-            cfg.resolved_latent_dim(get_problem("zdt3"))
+        with pytest.raises(ValueError, match="^psl-ls samples the 2-simplex; "
+                                             "latent_dim 5 is not configurable$"):
+            latent_sampler(cfg, get_problem("zdt3"))
 
 class TestLatentSampler:
     def test_gaussian_centered_at_box_midpoint_when_full_dim(self):
@@ -335,8 +340,8 @@ class TestEvaluateModel:
     def test_front_with_other_objective_count_rejected(self):
         prob = get_problem("dtlz5")
         cfg = TrainConfig(problem="dtlz5", algorithm="gpsl-g")
-        draw, _, _ = latent_sampler(cfg, prob)
-        params = net.init_network((cfg.resolved_latent_dim(prob), 8, prob.d), seed=0)
+        draw, offset, _ = latent_sampler(cfg, prob)
+        params = net.init_network((len(offset), 8, prob.d), seed=0)
         zdt3_front = pareto_front(get_problem("zdt3"))
         with pytest.raises(ValueError, match="^front has 2 objectives but dtlz5 has 3$"):
             evaluate_model(params, prob, draw, zdt3_front, n_eval=16)
